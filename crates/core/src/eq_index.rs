@@ -8,11 +8,19 @@
 //! The index therefore maps `ExprId → (key → [(predicate, conjunction)])`.
 //! Several predicates sharing the conjunct `x == 5` share the bucket — the
 //! paper's shared tags.
+//!
+//! The outer level is a `Vec` indexed by [`ExprId::index`] (expression ids
+//! are dense) with a sorted list of the expressions that currently carry a
+//! tag; the inner level hashes the `i64` key through the crate's integer
+//! hasher. A per-expression table outlives its last tag, and a
+//! bucket holding one conjunction stores it inline, so a tag that comes and
+//! goes with every wait (`waituntil(turn == me)`) costs no allocation.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
 use autosynch_predicate::expr::ExprId;
 
+use crate::dense::{slot_mut, IntMap, LiveExprs};
 use crate::slab::SlabKey;
 
 /// Identifier of a predicate entry in the condition manager.
@@ -21,10 +29,52 @@ pub type PredId = SlabKey;
 /// One tagged conjunction: which predicate, which of its conjunctions.
 pub type TaggedConj = (PredId, u32);
 
+/// The conjunctions sharing one tag, in insertion order. Most tags are
+/// carried by a single conjunction, which is stored inline.
+#[derive(Debug, Clone)]
+pub(crate) enum Conjs {
+    One(TaggedConj),
+    Many(Vec<TaggedConj>),
+}
+
+impl Conjs {
+    pub(crate) fn push(&mut self, entry: TaggedConj) {
+        match self {
+            Conjs::One(first) => *self = Conjs::Many(vec![*first, entry]),
+            Conjs::Many(entries) => entries.push(entry),
+        }
+    }
+
+    /// Removes `entry` if present (`swap_remove` order, as a `Vec` bucket
+    /// would) and reports whether the list is now empty.
+    pub(crate) fn remove(&mut self, entry: TaggedConj) -> bool {
+        match self {
+            Conjs::One(only) => *only == entry,
+            Conjs::Many(entries) => {
+                if let Some(pos) = entries.iter().position(|&e| e == entry) {
+                    entries.swap_remove(pos);
+                }
+                entries.is_empty()
+            }
+        }
+    }
+
+    pub(crate) fn as_slice(&self) -> &[TaggedConj] {
+        match self {
+            Conjs::One(only) => std::slice::from_ref(only),
+            Conjs::Many(entries) => entries,
+        }
+    }
+}
+
 /// Hash index over equivalence tags.
 #[derive(Debug, Default)]
 pub struct EqIndex {
-    by_expr: HashMap<ExprId, HashMap<i64, Vec<TaggedConj>>>,
+    /// Bucket table per expression, indexed by `ExprId::index()` and
+    /// grown on insert (expressions may be registered late).
+    by_expr: Vec<IntMap<i64, Conjs>>,
+    /// The expressions whose table is non-empty.
+    live: LiveExprs,
 }
 
 impl EqIndex {
@@ -35,31 +85,34 @@ impl EqIndex {
 
     /// Registers the equivalence tag `(expr == key)` for a conjunction.
     pub fn insert(&mut self, expr: ExprId, key: i64, entry: TaggedConj) {
-        self.by_expr
-            .entry(expr)
-            .or_default()
-            .entry(key)
-            .or_default()
-            .push(entry);
-    }
-
-    /// Unregisters a previously inserted tag. Empty buckets and empty
-    /// per-expression tables are dropped so [`EqIndex::exprs`] only yields
-    /// expressions that still need evaluating during relay.
-    pub fn remove(&mut self, expr: ExprId, key: i64, entry: TaggedConj) {
-        let Some(buckets) = self.by_expr.get_mut(&expr) else {
-            return;
-        };
-        if let Some(bucket) = buckets.get_mut(&key) {
-            if let Some(pos) = bucket.iter().position(|&e| e == entry) {
-                bucket.swap_remove(pos);
-            }
-            if bucket.is_empty() {
-                buckets.remove(&key);
+        let buckets = slot_mut(&mut self.by_expr, expr, IntMap::default);
+        if buckets.is_empty() {
+            self.live.insert(expr);
+        }
+        match buckets.entry(key) {
+            Entry::Occupied(bucket) => bucket.into_mut().push(entry),
+            Entry::Vacant(slot) => {
+                slot.insert(Conjs::One(entry));
             }
         }
-        if buckets.is_empty() {
-            self.by_expr.remove(&expr);
+    }
+
+    /// Unregisters a previously inserted tag. Empty buckets are dropped,
+    /// and an expression whose last bucket went leaves
+    /// [`EqIndex::live_exprs`], so the relay only evaluates expressions
+    /// that still carry a tag.
+    pub fn remove(&mut self, expr: ExprId, key: i64, entry: TaggedConj) {
+        let Some(buckets) = self.by_expr.get_mut(expr.index()) else {
+            return;
+        };
+        let Some(bucket) = buckets.get_mut(&key) else {
+            return;
+        };
+        if bucket.remove(entry) {
+            buckets.remove(&key);
+            if buckets.is_empty() {
+                self.live.remove(expr);
+            }
         }
     }
 
@@ -67,29 +120,29 @@ impl EqIndex {
     /// O(1) probe.
     pub fn candidates(&self, expr: ExprId, value: i64) -> &[TaggedConj] {
         self.by_expr
-            .get(&expr)
+            .get(expr.index())
             .and_then(|buckets| buckets.get(&value))
-            .map_or(&[], Vec::as_slice)
+            .map_or(&[], Conjs::as_slice)
     }
 
-    /// Expressions that currently carry at least one equivalence tag.
-    /// The relay evaluates each of these once per call.
-    pub fn exprs(&self) -> impl Iterator<Item = ExprId> + '_ {
-        self.by_expr.keys().copied()
+    /// Expressions that currently carry at least one equivalence tag, in
+    /// `ExprId` order. The relay evaluates each of these once per call.
+    pub fn live_exprs(&self) -> &[ExprId] {
+        self.live.as_slice()
     }
 
     /// Total number of registered tags (for tests and diagnostics).
     pub fn len(&self) -> usize {
         self.by_expr
-            .values()
+            .iter()
             .flat_map(|buckets| buckets.values())
-            .map(Vec::len)
+            .map(|bucket| bucket.as_slice().len())
             .sum()
     }
 
     /// Whether no tags are registered.
     pub fn is_empty(&self) -> bool {
-        self.by_expr.is_empty()
+        self.live.as_slice().is_empty()
     }
 }
 
@@ -138,11 +191,15 @@ mod tests {
         let e = ExprId::from_raw(0);
         let p = pid(0);
         idx.insert(e, 7, (p, 0));
-        assert_eq!(idx.exprs().count(), 1);
+        assert_eq!(idx.live_exprs(), &[e]);
         idx.remove(e, 7, (p, 0));
         assert!(idx.is_empty());
-        assert_eq!(idx.exprs().count(), 0);
+        assert!(idx.live_exprs().is_empty());
         assert!(idx.candidates(e, 7).is_empty());
+        // The emptied table is reused, not rebuilt.
+        idx.insert(e, 8, (p, 0));
+        assert_eq!(idx.live_exprs(), &[e]);
+        assert_eq!(idx.candidates(e, 8), &[(p, 0)]);
     }
 
     #[test]
@@ -154,6 +211,8 @@ mod tests {
         idx.insert(e, 7, (p, 1));
         idx.remove(e, 7, (p, 0));
         assert_eq!(idx.candidates(e, 7), &[(p, 1)]);
+        idx.remove(e, 7, (p, 1));
+        assert!(idx.is_empty());
     }
 
     #[test]
@@ -170,11 +229,12 @@ mod tests {
     #[test]
     fn exprs_lists_distinct_expressions() {
         let mut idx = EqIndex::new();
-        idx.insert(ExprId::from_raw(0), 1, (pid(0), 0));
         idx.insert(ExprId::from_raw(1), 1, (pid(1), 0));
+        idx.insert(ExprId::from_raw(0), 1, (pid(0), 0));
         idx.insert(ExprId::from_raw(0), 2, (pid(2), 0));
-        let mut exprs: Vec<_> = idx.exprs().collect();
-        exprs.sort();
-        assert_eq!(exprs, vec![ExprId::from_raw(0), ExprId::from_raw(1)]);
+        assert_eq!(
+            idx.live_exprs(),
+            &[ExprId::from_raw(0), ExprId::from_raw(1)]
+        );
     }
 }

@@ -133,6 +133,7 @@
 pub mod asynch;
 pub mod baseline;
 pub mod config;
+pub(crate) mod dense;
 pub mod eq_index;
 pub mod explicit;
 pub(crate) mod fc;

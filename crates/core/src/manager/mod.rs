@@ -40,6 +40,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
+use autosynch_metrics::counters::RelayTally;
 use autosynch_metrics::phase::Phase;
 use autosynch_predicate::cond::CondTable;
 use autosynch_predicate::expr::{ExprId, ExprTable};
@@ -49,6 +50,7 @@ use autosynch_predicate::tag::Tag;
 use parking_lot::Condvar;
 
 use crate::config::{MonitorConfig, SignalMode};
+use crate::dense::{slot_mut, LiveExprs};
 use crate::eq_index::PredId;
 use crate::parking::ParkingLot;
 use crate::slab::Slab;
@@ -87,6 +89,38 @@ pub(crate) struct PredEntry<S> {
     slot: Option<u32>,
 }
 
+/// How many active conjunctions depend on each expression: a count per
+/// `ExprId::index()` (grown on first use — expressions may be registered
+/// late) and the list of expressions whose count is non-zero, which is
+/// what the snapshot diff walks.
+#[derive(Debug, Default)]
+struct DepRefs {
+    counts: Vec<u32>,
+    live: LiveExprs,
+}
+
+impl DepRefs {
+    fn acquire(&mut self, expr: ExprId) {
+        let count = slot_mut(&mut self.counts, expr, || 0);
+        if *count == 0 {
+            self.live.insert(expr);
+        }
+        *count += 1;
+    }
+
+    /// Undoes one `acquire`; an expression that was never acquired is
+    /// left alone.
+    fn release(&mut self, expr: ExprId) {
+        let Some(count) = self.counts.get_mut(expr.index()).filter(|c| **c > 0) else {
+            return;
+        };
+        *count -= 1;
+        if *count == 0 {
+            self.live.remove(expr);
+        }
+    }
+}
+
 /// The per-monitor condition manager.
 pub(crate) struct ConditionManager<S> {
     entries: Slab<PredEntry<S>>,
@@ -106,29 +140,30 @@ pub(crate) struct ConditionManager<S> {
     plan: RelayPlan,
     inactive: VecDeque<PredId>,
     config: MonitorConfig,
-    // --- change-driven relay state (ChangeDriven + Sharded) -------------
-    /// How many active conjunctions depend on each expression — the set
-    /// the snapshot diff evaluates.
-    dep_refs: HashMap<ExprId, u32>,
-    /// Last diffed value per expression (`ExprId::index`-indexed).
-    value_cache: Vec<Option<i64>>,
-    /// The diff epoch at which each slot was last evaluated. A slot that
+    // --- relay working set: reused by every pass, never reallocated
+    // while the `ExprTable` keeps its size --------------------------------
+    /// The relay's expression values. In the change-driven modes this is
+    /// the diff snapshot: `cache.epoch` is the monotonic diff counter and
+    /// a slot's stamp the diff that last evaluated it. A slot that
     /// skipped a diff (its expression had no active dependents) has a
     /// gap; comparing across a gap is unsound — the value could have
     /// changed and coincidentally returned — so a non-contiguous slot is
     /// reported changed regardless of its cached value.
-    slot_epoch: Vec<u64>,
-    /// Monotonic diff counter backing the contiguity check.
-    epoch: u64,
+    cache: ValueCache,
+    /// What the running relay pass has counted so far, in plain
+    /// integers; [`ConditionManager::relay_signal`] adds it to the shared
+    /// counters once per pass.
+    tally: RelayTally,
+    // --- change-driven relay state (ChangeDriven + Sharded) -------------
+    /// How many active conjunctions depend on each expression — the set
+    /// the snapshot diff evaluates.
+    dep_refs: DepRefs,
     /// Scratch bitmap: expressions whose value changed in this relay's
     /// snapshot diff.
     changed: Vec<bool>,
     /// Reusable staging buffer for ring publishes: the slice of
-    /// `value_cache` restricted to the expressions this diff evaluated.
+    /// `cache.values` restricted to the expressions this diff evaluated.
     publish_scratch: Vec<Option<i64>>,
-    /// Reusable buffer for the threshold-index expression walk, so the
-    /// probe does not allocate per relay.
-    expr_scratch: Vec<ExprId>,
     /// The state was mutated since the last snapshot diff (fed by
     /// [`ConditionManager::note_mutation`]).
     state_dirty: bool,
@@ -202,13 +237,11 @@ impl<S> ConditionManager<S> {
             plan: RelayPlan::new(),
             inactive: VecDeque::new(),
             config,
-            dep_refs: HashMap::new(),
-            value_cache: Vec::new(),
-            slot_epoch: Vec::new(),
-            epoch: 0,
+            cache: ValueCache::default(),
+            tally: RelayTally::default(),
+            dep_refs: DepRefs::default(),
             changed: Vec::new(),
             publish_scratch: Vec::new(),
-            expr_scratch: Vec::new(),
             state_dirty: true,
             named_only: false,
             named: Vec::new(),
@@ -283,7 +316,7 @@ impl<S> ConditionManager<S> {
     /// this epoch: its monitor-lock confirm just evaluated the live
     /// state, which is at least as new as any published cut.
     pub(crate) fn current_epoch(&self) -> u64 {
-        self.epoch
+        self.cache.epoch
     }
 
     /// The gate the recorded routes confine a waiter to: the data gate
@@ -543,24 +576,23 @@ impl<S> ConditionManager<S> {
         exprs: &ExprTable<S>,
         stats: &MonitorStats,
     ) -> Option<PredId> {
-        stats.counters.record_relay_call();
+        self.tally.relay_calls += 1;
         // The signaler-lock hold-time stat: everything a relay does
         // happens under the monitor lock on behalf of other threads, so
         // its duration is the signaling share of the critical section.
         let hold_start = stats.phases.is_enabled().then(Instant::now);
-        // Flight-recorder summary of the pass, reconstructed from
-        // counter deltas so the probe loops themselves stay untouched.
-        // The extra snapshots only happen while tracing is on.
-        let before = crate::telemetry::enabled().then(|| stats.counters.snapshot());
         let result = self.relay_dispatch(state, exprs, stats);
-        if let Some(before) = before {
-            let delta = stats.counters.snapshot().since(&before);
-            crate::telemetry::record(
-                crate::telemetry::EventKind::RelayPass,
-                delta.pred_evals,
-                delta.probes_skipped + delta.relay_skips,
-            );
-        }
+        // The pass counted in plain integers; this is where the counts
+        // reach the shared counters — one `fetch_add` per counter that
+        // moved — and the flight recorder, whose summary of the pass is
+        // the tally itself.
+        let tally = std::mem::take(&mut self.tally);
+        stats.counters.add_tally(&tally);
+        crate::telemetry::record(
+            crate::telemetry::EventKind::RelayPass,
+            tally.pred_evals,
+            tally.probes_skipped + tally.relay_skips,
+        );
         if let Some(start) = hold_start {
             stats.hold.record(start.elapsed());
         }
@@ -587,7 +619,7 @@ impl<S> ConditionManager<S> {
         // relay call; when the state is unmutated and every active
         // conjunction is known false, the whole search is skipped.
         if mode == SignalMode::ChangeDriven && self.refresh_changed_set(state, exprs, stats) {
-            stats.counters.record_relay_skip();
+            self.tally.relay_skips += 1;
             if self.config.validates_relay() {
                 self.check_relay_invariance(state, exprs);
             }
@@ -600,41 +632,17 @@ impl<S> ConditionManager<S> {
         for _ in 0..self.config.relay_width_value() {
             let timer = stats.phases.start(Phase::RelaySignal);
             let found = match mode {
-                SignalMode::Untagged => self.find_untagged(state, exprs, stats),
+                SignalMode::Untagged => self.find_untagged(state, exprs),
                 SignalMode::Tagged => {
-                    let ConditionManager {
-                        entries, shards, ..
-                    } = self;
-                    shards[0].probe_tagged(entries, state, exprs, &stats.counters)
+                    // No diff feeds the cache here: each search opens
+                    // its own epoch, so every shared expression is
+                    // evaluated at most once per search.
+                    self.cache.epoch += 1;
+                    self.probe_only_shard(state, exprs, false)
                 }
                 SignalMode::ChangeDriven => {
-                    let ConditionManager {
-                        entries,
-                        shards,
-                        value_cache,
-                        slot_epoch,
-                        epoch,
-                        changed,
-                        expr_scratch,
-                        ..
-                    } = self;
-                    let shard = &mut shards[0];
-                    let probe_all = shard.probe_all;
-                    let mut cache = ValueCache {
-                        values: value_cache,
-                        epochs: slot_epoch,
-                        epoch: *epoch,
-                    };
-                    shard.probe_change_driven(
-                        entries,
-                        state,
-                        exprs,
-                        &stats.counters,
-                        &mut cache,
-                        changed,
-                        probe_all,
-                        expr_scratch,
-                    )
+                    let filtered = !self.shards[0].probe_all;
+                    self.probe_only_shard(state, exprs, filtered)
                 }
                 SignalMode::Sharded | SignalMode::Parked | SignalMode::Routed => {
                     unreachable!("dispatched above")
@@ -648,7 +656,7 @@ impl<S> ConditionManager<S> {
                 break;
             };
             self.shards[0].all_false = false;
-            stats.counters.record_relay_hit();
+            self.tally.relay_hits += 1;
             self.signal_entry(pid, stats);
             first.get_or_insert(pid);
         }
@@ -656,6 +664,27 @@ impl<S> ConditionManager<S> {
             self.check_relay_invariance(state, exprs);
         }
         first
+    }
+
+    /// Searches the single shard of the unpartitioned modes for a
+    /// signalable waiter; `filtered` restricts the search to candidates
+    /// the last diff's changed set can have flipped.
+    fn probe_only_shard(
+        &mut self,
+        state: &S,
+        exprs: &ExprTable<S>,
+        filtered: bool,
+    ) -> Option<PredId> {
+        let ConditionManager {
+            entries,
+            shards,
+            cache,
+            changed,
+            tally,
+            ..
+        } = self;
+        let changed = filtered.then_some(changed.as_slice());
+        shards[0].probe(entries, state, exprs, cache, changed, tally)
     }
 
     /// The sharded batched relay: diff the expression snapshot once, map
@@ -669,7 +698,7 @@ impl<S> ConditionManager<S> {
         stats: &MonitorStats,
     ) -> Option<PredId> {
         if self.prepare_sharded(state, exprs, stats) {
-            stats.counters.record_relay_skip();
+            self.tally.relay_skips += 1;
             if self.config.validates_relay() {
                 self.check_relay_invariance(state, exprs);
             }
@@ -698,11 +727,9 @@ impl<S> ConditionManager<S> {
                     let ConditionManager {
                         entries,
                         shards,
-                        value_cache,
-                        slot_epoch,
-                        epoch,
+                        cache,
                         changed,
-                        expr_scratch,
+                        tally,
                         parking,
                         ..
                     } = self;
@@ -713,22 +740,8 @@ impl<S> ConditionManager<S> {
                     // share one per-shard locking discipline.
                     let _shard_lock = parking.probe_guard(sid);
                     let shard = &mut shards[sid];
-                    let probe_all = shard.probe_all;
-                    let mut cache = ValueCache {
-                        values: value_cache,
-                        epochs: slot_epoch,
-                        epoch: *epoch,
-                    };
-                    shard.probe_change_driven(
-                        entries,
-                        state,
-                        exprs,
-                        &stats.counters,
-                        &mut cache,
-                        changed,
-                        probe_all,
-                        expr_scratch,
-                    )
+                    let changed = (!shard.probe_all).then_some(changed.as_slice());
+                    shard.probe(entries, state, exprs, cache, changed, tally)
                 };
                 timer.finish();
                 match found {
@@ -738,9 +751,9 @@ impl<S> ConditionManager<S> {
                         let shard = &mut self.shards[sid];
                         shard.all_false = false;
                         shard.probe_all = true;
-                        stats.counters.record_relay_hit();
+                        self.tally.relay_hits += 1;
                         if first.is_some() {
-                            stats.counters.record_batched_signal();
+                            self.tally.batched_signals += 1;
                         }
                         self.signal_entry(pid, stats);
                         first.get_or_insert(pid);
@@ -800,7 +813,7 @@ impl<S> ConditionManager<S> {
         stats: &MonitorStats,
     ) -> Option<PredId> {
         if !self.state_dirty {
-            stats.counters.record_relay_skip();
+            self.tally.relay_skips += 1;
             if self.config.validates_relay() {
                 self.check_parking_protocol(state, exprs);
             }
@@ -844,7 +857,7 @@ impl<S> ConditionManager<S> {
     pub(crate) fn drain_pending_wakes(&mut self, out: &mut Vec<u32>) -> u64 {
         out.clear();
         out.append(&mut self.pending_wake_gates);
-        self.epoch
+        self.cache.epoch
     }
 
     /// The routed relay: the parked relay's exit path with slot-level
@@ -886,7 +899,7 @@ impl<S> ConditionManager<S> {
         stats: &MonitorStats,
     ) -> Option<PredId> {
         if !self.state_dirty {
-            stats.counters.record_relay_skip();
+            self.tally.relay_skips += 1;
             if self.config.validates_relay() {
                 self.check_wake_routing(state, exprs);
             }
@@ -903,7 +916,8 @@ impl<S> ConditionManager<S> {
         {
             let ConditionManager {
                 changed,
-                value_cache,
+                cache,
+                tally,
                 router,
                 wake_router,
                 wake,
@@ -921,11 +935,11 @@ impl<S> ConditionManager<S> {
                 // Value-directed: only the slot whose eq key equals the
                 // published value can have flipped true.
                 if wake_router.has_eq(expr) {
-                    if let Some(value) = value_cache[idx] {
+                    if let Some(value) = cache.values[idx] {
                         for &(slot, gate) in wake_router.eq_slots(expr, value) {
                             if !slot_seen[slot as usize] {
                                 slot_seen[slot as usize] = true;
-                                stats.counters.record_eq_routed_wake();
+                                tally.eq_routed_wakes += 1;
                                 wake.announce(gate as usize);
                                 pending_routed.push(RoutedWake::Bucket { gate, slot });
                             }
@@ -936,14 +950,15 @@ impl<S> ConditionManager<S> {
                 // value crosses; the rungs above the crossing bound are
                 // provably false at the cut and pruned as skips.
                 if wake_router.has_ladder(expr) {
-                    let skipped = wake_router.ladder_probe(expr, value_cache[idx], |slot, gate| {
-                        if !slot_seen[slot as usize] {
-                            slot_seen[slot as usize] = true;
-                            wake.announce(gate as usize);
-                            pending_routed.push(RoutedWake::Bucket { gate, slot });
-                        }
-                    });
-                    stats.counters.record_ladder_skips(skipped);
+                    let skipped =
+                        wake_router.ladder_probe(expr, cache.values[idx], |slot, gate| {
+                            if !slot_seen[slot as usize] {
+                                slot_seen[slot as usize] = true;
+                                wake.announce(gate as usize);
+                                pending_routed.push(RoutedWake::Bucket { gate, slot });
+                            }
+                        });
+                    tally.ladder_skips += skipped;
                     if skipped > 0 {
                         crate::telemetry::record(
                             crate::telemetry::EventKind::LadderSkip,
@@ -991,7 +1006,7 @@ impl<S> ConditionManager<S> {
     pub(crate) fn drain_routed_wakes(&mut self, out: &mut Vec<RoutedWake>) -> u64 {
         out.clear();
         out.append(&mut self.pending_routed);
-        self.epoch
+        self.cache.epoch
     }
 
     /// Announces a claimed token's re-injection into its bucket (the
@@ -1134,13 +1149,10 @@ impl<S> ConditionManager<S> {
     /// lock-free ring. Shared by the `ChangeDriven` and `Sharded` modes.
     fn diff_snapshot(&mut self, state: &S, exprs: &ExprTable<S>, stats: &MonitorStats) {
         let timer = stats.phases.start(Phase::SnapshotDiff);
-        self.epoch += 1;
+        self.cache.epoch += 1;
         self.changed.clear();
         self.changed.resize(exprs.len(), false);
-        if self.value_cache.len() < exprs.len() {
-            self.value_cache.resize(exprs.len(), None);
-            self.slot_epoch.resize(exprs.len(), 0);
-        }
+        self.cache.cover(exprs.len());
         // A named-only window lets the diff skip every dependency the
         // caller's contract guarantees untouched: the cached value is
         // carried forward into this epoch as unchanged. Carrying
@@ -1157,29 +1169,34 @@ impl<S> ConditionManager<S> {
                 }
             }
         }
-        for &expr in self.dep_refs.keys() {
+        let ConditionManager {
+            dep_refs,
+            cache,
+            changed,
+            named_scratch,
+            tally,
+            ..
+        } = self;
+        let epoch = cache.epoch;
+        for &expr in dep_refs.live.as_slice() {
             let idx = expr.index();
             // "Unchanged" is only meaningful against the immediately
             // preceding diff; a slot with a gap is treated as changed.
-            let contiguous = self.slot_epoch[idx] + 1 == self.epoch;
-            if named_only
-                && contiguous
-                && !self.named_scratch[idx]
-                && self.value_cache[idx].is_some()
-            {
-                stats.counters.record_unchanged_expr();
-                self.slot_epoch[idx] = self.epoch;
+            let contiguous = cache.epochs[idx] + 1 == epoch;
+            if named_only && contiguous && !named_scratch[idx] && cache.values[idx].is_some() {
+                tally.unchanged_exprs += 1;
+                cache.epochs[idx] = epoch;
                 continue;
             }
-            stats.counters.record_expr_eval();
+            tally.expr_evals += 1;
             let fresh = exprs.eval(expr, state);
-            if contiguous && self.value_cache[idx] == Some(fresh) {
-                stats.counters.record_unchanged_expr();
+            if contiguous && cache.values[idx] == Some(fresh) {
+                tally.unchanged_exprs += 1;
             } else {
-                self.value_cache[idx] = Some(fresh);
-                self.changed[idx] = true;
+                cache.values[idx] = Some(fresh);
+                changed[idx] = true;
             }
-            self.slot_epoch[idx] = self.epoch;
+            cache.epochs[idx] = epoch;
         }
         self.named_only = false;
         self.named.clear();
@@ -1196,14 +1213,16 @@ impl<S> ConditionManager<S> {
             self.config.signal_mode(),
             SignalMode::Sharded | SignalMode::Parked | SignalMode::Routed
         ) {
+            let epoch = self.cache.epoch;
             self.publish_scratch.clear();
             self.publish_scratch.extend(
-                self.value_cache
+                self.cache
+                    .values
                     .iter()
-                    .zip(&self.slot_epoch)
-                    .map(|(&value, &slot_epoch)| value.filter(|_| slot_epoch == self.epoch)),
+                    .zip(&self.cache.epochs)
+                    .map(|(&value, &slot_epoch)| value.filter(|_| slot_epoch == epoch)),
             );
-            self.ring.publish(self.epoch, &self.publish_scratch);
+            self.ring.publish(epoch, &self.publish_scratch);
         }
         timer.finish();
     }
@@ -1329,16 +1348,11 @@ impl<S> ConditionManager<S> {
     }
 
     /// AutoSynch-T: evaluate every active predicate until one is true.
-    fn find_untagged(
-        &self,
-        state: &S,
-        exprs: &ExprTable<S>,
-        stats: &MonitorStats,
-    ) -> Option<PredId> {
+    fn find_untagged(&mut self, state: &S, exprs: &ExprTable<S>) -> Option<PredId> {
         for &pid in &self.scan_list {
             let entry = &self.entries[pid];
             debug_assert!(entry.waiting > 0, "scan list holds only active entries");
-            stats.counters.record_pred_eval();
+            self.tally.pred_evals += 1;
             if entry.pred.eval(state, exprs) {
                 return Some(pid);
             }
@@ -1347,20 +1361,24 @@ impl<S> ConditionManager<S> {
     }
 
     /// Moves one waiter of `pid` from waiting to signaled and notifies the
-    /// entry's condition variable.
+    /// entry's condition variable. Only a relay pass signals, so the
+    /// count goes to its tally.
     fn signal_entry(&mut self, pid: PredId, stats: &MonitorStats) {
         let entry = &mut self.entries[pid];
         debug_assert!(entry.waiting > 0, "signaled an entry with no waiters");
         entry.waiting -= 1;
         entry.signaled += 1;
-        stats.counters.record_signal();
-        let cv = Arc::clone(&entry.condvar);
+        self.tally.signals += 1;
+        // Notify before the tag bookkeeping: both happen under the
+        // monitor mutex, so the woken thread cannot run until the relay
+        // is done either way, and the condvar need not be cloned out of
+        // the entry first.
+        entry.condvar.notify_one();
         if entry.waiting == 0 {
             let timer = stats.phases.start(Phase::TagManager);
             self.deactivate_tags(pid, stats);
             timer.finish();
         }
-        cv.notify_one();
     }
 
     fn activate_tags(&mut self, pid: PredId, stats: &MonitorStats) {
@@ -1374,9 +1392,11 @@ impl<S> ConditionManager<S> {
             }
             SignalMode::Tagged => {
                 let shard = &mut self.shards[0];
+                stats
+                    .counters
+                    .record_tag_inserts(entry.pred.tags().len() as u64);
                 for (conj, &tag) in entry.pred.tags().iter().enumerate() {
                     let conj = conj as u32;
-                    stats.counters.record_tag_insert();
                     match tag {
                         Tag::Equivalence { expr, key } => {
                             shard.eq_index.insert(expr, key, (pid, conj));
@@ -1391,12 +1411,14 @@ impl<S> ConditionManager<S> {
             SignalMode::ChangeDriven => {
                 let shard = &mut self.shards[0];
                 let deps_per_conj = entry.pred.conj_deps();
+                stats
+                    .counters
+                    .record_tag_inserts(entry.pred.tags().len() as u64);
                 for (conj, &tag) in entry.pred.tags().iter().enumerate() {
                     let deps = &deps_per_conj[conj];
                     let conj = conj as u32;
-                    stats.counters.record_tag_insert();
                     for &expr in deps.exprs() {
-                        *self.dep_refs.entry(expr).or_insert(0) += 1;
+                        self.dep_refs.acquire(expr);
                     }
                     match tag {
                         Tag::Equivalence { expr, key } => {
@@ -1411,7 +1433,7 @@ impl<S> ConditionManager<S> {
                                 shard.opaque_list.push((pid, conj));
                             } else {
                                 for &expr in deps.exprs() {
-                                    shard.none_index.entry(expr).or_default().push((pid, conj));
+                                    shard.none_index_insert(expr, (pid, conj));
                                 }
                             }
                         }
@@ -1427,17 +1449,19 @@ impl<S> ConditionManager<S> {
                 // waiter's gate).
                 let deps_per_conj = entry.pred.conj_deps();
                 entry.routes.clear();
+                stats
+                    .counters
+                    .record_tag_inserts(deps_per_conj.len() as u64);
+                let mut cross_shard = 0;
                 for deps in deps_per_conj {
                     let sid = self.router.route(deps);
                     entry.routes.push(sid as u32);
-                    stats.counters.record_tag_insert();
-                    if sid == self.router.global() {
-                        stats.counters.record_cross_shard_pred();
-                    }
+                    cross_shard += u64::from(sid == self.router.global());
                     for &expr in deps.exprs() {
-                        *self.dep_refs.entry(expr).or_insert(0) += 1;
+                        self.dep_refs.acquire(expr);
                     }
                 }
+                stats.counters.record_cross_shard_preds(cross_shard);
                 // Routed mode additionally indexes slotted entries for
                 // wake routing: eq route when the predicate has one,
                 // dependency route otherwise, nothing for global-gate
@@ -1453,17 +1477,18 @@ impl<S> ConditionManager<S> {
             SignalMode::Sharded => {
                 let deps_per_conj = entry.pred.conj_deps();
                 entry.routes.clear();
+                stats
+                    .counters
+                    .record_tag_inserts(entry.pred.tags().len() as u64);
+                let mut cross_shard = 0;
                 for (conj, &tag) in entry.pred.tags().iter().enumerate() {
                     let deps = &deps_per_conj[conj];
                     let sid = self.router.route(deps);
                     entry.routes.push(sid as u32);
                     let conj = conj as u32;
-                    stats.counters.record_tag_insert();
-                    if sid == self.router.global() {
-                        stats.counters.record_cross_shard_pred();
-                    }
+                    cross_shard += u64::from(sid == self.router.global());
                     for &expr in deps.exprs() {
-                        *self.dep_refs.entry(expr).or_insert(0) += 1;
+                        self.dep_refs.acquire(expr);
                     }
                     let shard = &mut self.shards[sid];
                     if deps.is_opaque() {
@@ -1486,12 +1511,13 @@ impl<S> ConditionManager<S> {
                                 shard.opaque_list.push((pid, conj));
                             } else {
                                 for &expr in deps.exprs() {
-                                    shard.none_index.entry(expr).or_default().push((pid, conj));
+                                    shard.none_index_insert(expr, (pid, conj));
                                 }
                             }
                         }
                     }
                 }
+                stats.counters.record_cross_shard_preds(cross_shard);
             }
         }
     }
@@ -1509,9 +1535,11 @@ impl<S> ConditionManager<S> {
             }
             SignalMode::Tagged => {
                 let shard = &mut self.shards[0];
+                stats
+                    .counters
+                    .record_tag_removes(entry.pred.tags().len() as u64);
                 for (conj, &tag) in entry.pred.tags().iter().enumerate() {
                     let conj = conj as u32;
-                    stats.counters.record_tag_remove();
                     match tag {
                         Tag::Equivalence { expr, key } => {
                             shard.eq_index.remove(expr, key, (pid, conj));
@@ -1532,15 +1560,12 @@ impl<S> ConditionManager<S> {
             SignalMode::Parked | SignalMode::Routed => {
                 let deps_per_conj = entry.pred.conj_deps();
                 debug_assert_eq!(entry.routes.len(), deps_per_conj.len());
+                stats
+                    .counters
+                    .record_tag_removes(deps_per_conj.len() as u64);
                 for deps in deps_per_conj {
-                    stats.counters.record_tag_remove();
                     for &expr in deps.exprs() {
-                        if let Some(count) = self.dep_refs.get_mut(&expr) {
-                            *count -= 1;
-                            if *count == 0 {
-                                self.dep_refs.remove(&expr);
-                            }
-                        }
+                        self.dep_refs.release(expr);
                     }
                 }
                 if self.config.signal_mode() == SignalMode::Routed {
@@ -1555,6 +1580,9 @@ impl<S> ConditionManager<S> {
                 if sharded {
                     debug_assert_eq!(entry.routes.len(), deps_per_conj.len());
                 }
+                stats
+                    .counters
+                    .record_tag_removes(entry.pred.tags().len() as u64);
                 for (conj, &tag) in entry.pred.tags().iter().enumerate() {
                     let deps = &deps_per_conj[conj];
                     let sid = if sharded {
@@ -1563,14 +1591,8 @@ impl<S> ConditionManager<S> {
                         0
                     };
                     let conj = conj as u32;
-                    stats.counters.record_tag_remove();
                     for &expr in deps.exprs() {
-                        if let Some(count) = self.dep_refs.get_mut(&expr) {
-                            *count -= 1;
-                            if *count == 0 {
-                                self.dep_refs.remove(&expr);
-                            }
-                        }
+                        self.dep_refs.release(expr);
                     }
                     let shard = &mut self.shards[sid];
                     if sharded && deps.is_opaque() {
@@ -1593,16 +1615,7 @@ impl<S> ConditionManager<S> {
                                 }
                             } else {
                                 for &expr in deps.exprs() {
-                                    if let Some(candidates) = shard.none_index.get_mut(&expr) {
-                                        if let Some(pos) =
-                                            candidates.iter().position(|&e| e == (pid, conj))
-                                        {
-                                            candidates.swap_remove(pos);
-                                        }
-                                        if candidates.is_empty() {
-                                            shard.none_index.remove(&expr);
-                                        }
-                                    }
+                                    shard.none_index_remove(expr, (pid, conj));
                                 }
                             }
                         }

@@ -23,11 +23,10 @@
 //!   filter because true-but-unsignaled waiters may hide behind
 //!   unchanged dependencies.
 
-use autosynch_metrics::counters::SyncCounters;
-use autosynch_predicate::deps::ConjDeps;
+use autosynch_metrics::counters::RelayTally;
 use autosynch_predicate::expr::{ExprId, ExprTable};
-use std::collections::HashMap;
 
+use crate::dense::slot_mut;
 use crate::eq_index::{EqIndex, PredId, TaggedConj};
 use crate::slab::Slab;
 use crate::threshold_index::ThresholdIndex;
@@ -43,8 +42,9 @@ pub(crate) struct Shard {
     /// `None` tags, exhaustive list (Tagged mode only).
     pub(super) none_list: Vec<TaggedConj>,
     /// `None` tags with transparent dependencies, listed under each
-    /// dependency expression (ChangeDriven/Sharded modes).
-    pub(super) none_index: HashMap<ExprId, Vec<TaggedConj>>,
+    /// dependency expression (ChangeDriven/Sharded modes): indexed by
+    /// `ExprId::index()`, grown on insert.
+    pub(super) none_index: Vec<Vec<TaggedConj>>,
     /// `None` tags with opaque or empty dependency sets: probed on every
     /// non-skipped visit (ChangeDriven/Sharded modes).
     pub(super) opaque_list: Vec<TaggedConj>,
@@ -73,7 +73,7 @@ impl Shard {
             eq_index: EqIndex::new(),
             thresholds: ThresholdIndex::new(kind),
             none_list: Vec::new(),
-            none_index: HashMap::new(),
+            none_index: Vec::new(),
             opaque_list: Vec::new(),
             none_count: 0,
             opaque_count: 0,
@@ -87,134 +87,89 @@ impl Shard {
         self.eq_index.len() + self.thresholds.len() + self.none_list.len() + self.none_count
     }
 
-    /// AutoSynch: probe the equivalence hash tables, then the threshold
-    /// heaps (Fig. 4), then the `None` list.
-    pub(super) fn probe_tagged<S>(
+    /// Lists a transparent `None`-tagged conjunction under one of its
+    /// dependencies.
+    pub(super) fn none_index_insert(&mut self, expr: ExprId, entry: TaggedConj) {
+        slot_mut(&mut self.none_index, expr, Vec::new).push(entry);
+    }
+
+    /// Undoes [`Shard::none_index_insert`]. The per-expression list
+    /// stays, empty, for the next conjunction to reuse.
+    pub(super) fn none_index_remove(&mut self, expr: ExprId, entry: TaggedConj) {
+        if let Some(candidates) = self.none_index.get_mut(expr.index()) {
+            if let Some(pos) = candidates.iter().position(|&e| e == entry) {
+                candidates.swap_remove(pos);
+            }
+        }
+    }
+
+    /// The relay search of one shard: probe the equivalence hash tables,
+    /// then the threshold heaps (Fig. 4), then the `None` tags; the first
+    /// candidate whose conjunction is true is returned.
+    ///
+    /// With `changed == None` every candidate a true tag leads to is
+    /// evaluated — AutoSynch proper (`Tagged`), and a change-driven probe
+    /// that may not trust its filter (`probe_all`). With a
+    /// changed-expression bitmap, every candidate whose dependency set
+    /// misses it is skipped: its conjunction was false at its last
+    /// resolution and none of its inputs moved since.
+    ///
+    /// Expression values come from `cache`, evaluated at most once per
+    /// cache epoch: the `Tagged` relay opens an epoch per search, the
+    /// change-driven relays one per diff, so their expressions are
+    /// evaluated once per occupancy rather than once per relay. Nothing
+    /// here allocates or touches a shared counter; the counts go to
+    /// `tally`.
+    pub(super) fn probe<S>(
         &mut self,
         entries: &Slab<PredEntry<S>>,
         state: &S,
         exprs: &ExprTable<S>,
-        stats: &SyncCounters,
+        cache: &mut ValueCache,
+        changed: Option<&[bool]>,
+        tally: &mut RelayTally,
     ) -> Option<PredId> {
-        // Each shared expression is evaluated at most once per relay.
-        let mut values: Vec<Option<i64>> = vec![None; exprs.len()];
-        let mut value_of = |id: ExprId| -> i64 {
-            let slot = &mut values[id.index()];
-            match *slot {
-                Some(v) => v,
-                None => {
-                    stats.record_expr_eval();
-                    let v = exprs.eval(id, state);
-                    *slot = Some(v);
-                    v
+        // Evaluates one candidate a true tag (or no tag) led to.
+        let check = |(pid, conj): TaggedConj, tally: &mut RelayTally| -> bool {
+            let pred = &entries[pid].pred;
+            if let Some(changed) = changed {
+                if !pred.conj_deps()[conj as usize].intersects(changed) {
+                    tally.probes_skipped += 1;
+                    return false;
                 }
             }
+            tally.pred_evals += 1;
+            pred.eval_conjunction(conj as usize, state, exprs)
         };
 
         // 1. Equivalence tags: O(1) hash probe per live expression.
-        let eq_exprs: Vec<ExprId> = self.eq_index.exprs().collect();
-        for expr in eq_exprs {
-            let v = value_of(expr);
-            for &(pid, conj) in self.eq_index.candidates(expr, v) {
-                stats.record_pred_eval();
-                if entries[pid]
-                    .pred
-                    .eval_conjunction(conj as usize, state, exprs)
-                {
-                    return Some(pid);
+        for &expr in self.eq_index.live_exprs() {
+            let v = cache.value_of(expr, state, exprs, tally);
+            for &candidate in self.eq_index.candidates(expr, v) {
+                if check(candidate, tally) {
+                    return Some(candidate.0);
                 }
             }
         }
 
         // 2. Threshold tags: the Fig. 4 heap walk per live expression.
-        let thr_exprs: Vec<ExprId> = self.thresholds.exprs().collect();
-        for expr in thr_exprs {
-            let v = value_of(expr);
-            let mut check = |(pid, conj): TaggedConj| -> bool {
-                stats.record_pred_eval();
-                entries[pid]
-                    .pred
-                    .eval_conjunction(conj as usize, state, exprs)
-            };
-            if let Some((pid, _)) = self.thresholds.search(expr, v, &mut check) {
+        // The walk mutates the heaps but never the live list, which is
+        // therefore read by position.
+        for i in 0..self.thresholds.live_exprs().len() {
+            let expr = self.thresholds.live_exprs()[i];
+            let v = cache.value_of(expr, state, exprs, tally);
+            let hit = self
+                .thresholds
+                .search(expr, v, &mut |candidate| check(candidate, tally));
+            if let Some((pid, _)) = hit {
                 return Some(pid);
             }
         }
 
-        // 3. None tags: exhaustive search.
-        for &(pid, conj) in self.none_list.iter() {
-            stats.record_pred_eval();
-            if entries[pid]
-                .pred
-                .eval_conjunction(conj as usize, state, exprs)
-            {
-                return Some(pid);
-            }
-        }
-        None
-    }
-
-    /// Change-driven probe: the same eq/threshold/`None` order as
-    /// [`Shard::probe_tagged`], but every candidate whose dependency set
-    /// misses the changed-expression bitmap is skipped — its conjunction
-    /// was false at its last resolution and none of its inputs moved
-    /// since. Expression values come from the snapshot cache populated
-    /// by the manager's diff, so an expression is evaluated at most once
-    /// per occupancy rather than once per relay.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn probe_change_driven<S>(
-        &mut self,
-        entries: &Slab<PredEntry<S>>,
-        state: &S,
-        exprs: &ExprTable<S>,
-        stats: &SyncCounters,
-        cache: &mut ValueCache<'_>,
-        changed: &[bool],
-        probe_all: bool,
-        expr_scratch: &mut Vec<ExprId>,
-    ) -> Option<PredId> {
-        let relevant = |deps: &ConjDeps| probe_all || deps.intersects(changed);
-
-        // 1. Equivalence tags: O(1) hash probe per live expression. The
-        // probe only reads the index, so no per-relay collect is needed.
-        for expr in self.eq_index.exprs() {
-            let v = cache.value_of(expr, state, exprs, stats);
-            for &(pid, conj) in self.eq_index.candidates(expr, v) {
-                let entry = &entries[pid];
-                if !relevant(&entry.pred.conj_deps()[conj as usize]) {
-                    stats.record_probe_skipped();
-                    continue;
-                }
-                stats.record_pred_eval();
-                if entry.pred.eval_conjunction(conj as usize, state, exprs) {
-                    return Some(pid);
-                }
-            }
-        }
-
-        // 2. Threshold tags: the Fig. 4 heap walk per live expression.
-        // The walk mutates the heaps, so the expression list is staged
-        // through a reusable scratch buffer.
-        self.thresholds.collect_exprs(expr_scratch);
-        for &expr in expr_scratch.iter() {
-            let v = cache.value_of(expr, state, exprs, stats);
-            let mut check = |(pid, conj): TaggedConj| -> bool {
-                let entry = &entries[pid];
-                if !relevant(&entry.pred.conj_deps()[conj as usize]) {
-                    stats.record_probe_skipped();
-                    return false;
-                }
-                stats.record_pred_eval();
-                entry.pred.eval_conjunction(conj as usize, state, exprs)
-            };
-            if let Some((pid, _)) = self.thresholds.search(expr, v, &mut check) {
-                return Some(pid);
-            }
-        }
-
-        // 3. None tags with opaque dependencies: always probed.
-        for &(pid, conj) in self.opaque_list.iter() {
-            stats.record_pred_eval();
+        // 3. None tags without a usable dependency set — all of them in
+        // `Tagged` mode, the opaque ones otherwise: always evaluated.
+        for &(pid, conj) in self.none_list.iter().chain(&self.opaque_list) {
+            tally.pred_evals += 1;
             if entries[pid]
                 .pred
                 .eval_conjunction(conj as usize, state, exprs)
@@ -223,44 +178,30 @@ impl Shard {
             }
         }
 
-        // 4. Transparent None tags via the per-expression candidate map.
-        // Each candidate is listed under every dependency; probing it
-        // only under its first (changed) dependency visits it once.
-        if probe_all {
-            for (&expr, candidates) in self.none_index.iter() {
-                for &(pid, conj) in candidates {
-                    let entry = &entries[pid];
-                    let deps = &entry.pred.conj_deps()[conj as usize];
-                    if deps.exprs().first() != Some(&expr) {
-                        continue;
-                    }
-                    stats.record_pred_eval();
-                    if entry.pred.eval_conjunction(conj as usize, state, exprs) {
-                        return Some(pid);
-                    }
-                }
+        // 4. Transparent None tags via the per-expression candidate
+        // lists. Each candidate is listed under every dependency;
+        // probing it only under its first (changed) dependency visits it
+        // once — that is dedup, not a skip.
+        for (idx, candidates) in self.none_index.iter().enumerate() {
+            // Like `ConjDeps::intersects`: an expression the bitmap does
+            // not cover yet counts as changed.
+            if changed.is_some_and(|changed| !changed.get(idx).copied().unwrap_or(true)) {
+                continue;
             }
-        } else {
-            for (idx, &was_changed) in changed.iter().enumerate() {
-                if !was_changed {
-                    continue;
-                }
-                let expr = ExprId::from_raw(idx as u32);
-                let Some(candidates) = self.none_index.get(&expr) else {
-                    continue;
+            let expr = ExprId::from_raw(idx as u32);
+            for &(pid, conj) in candidates {
+                let pred = &entries[pid].pred;
+                let deps = &pred.conj_deps()[conj as usize];
+                let first = match changed {
+                    None => deps.exprs().first().copied(),
+                    Some(changed) => deps.first_changed(changed),
                 };
-                for &(pid, conj) in candidates {
-                    let entry = &entries[pid];
-                    let deps = &entry.pred.conj_deps()[conj as usize];
-                    // Probed under its first changed dependency only —
-                    // this is dedup, not a skip.
-                    if deps.first_changed(changed) != Some(expr) {
-                        continue;
-                    }
-                    stats.record_pred_eval();
-                    if entry.pred.eval_conjunction(conj as usize, state, exprs) {
-                        return Some(pid);
-                    }
+                if first != Some(expr) {
+                    continue;
+                }
+                tally.pred_evals += 1;
+                if pred.eval_conjunction(conj as usize, state, exprs) {
+                    return Some(pid);
                 }
             }
         }
@@ -268,35 +209,48 @@ impl Shard {
     }
 }
 
-/// The manager's expression-value snapshot, borrowed into a shard probe.
+/// The last evaluated value of every shared expression, stamped with the
+/// epoch it was evaluated in — the relay's one value store, sized to the
+/// `ExprTable` and grown only when that grows.
 ///
-/// Values come from the diff snapshot. Every probe-relevant expression
-/// has an active dependent, so the diff just refreshed it; the fallback
-/// covers expressions registered since, which are evaluated against the
-/// same (unmutated-since-diff) state and stamped into the current epoch.
-pub(super) struct ValueCache<'a> {
-    pub(super) values: &'a mut Vec<Option<i64>>,
-    pub(super) epochs: &'a mut Vec<u64>,
+/// The change-driven modes keep their diff snapshot here: the diff opens
+/// an epoch and refreshes every expression with an active dependent, so
+/// a probe finds its values already current; the fallback covers
+/// expressions registered since, which are evaluated against the same
+/// (unmutated-since-diff) state and stamped into the current epoch. The
+/// `Tagged` mode has no diff and opens an epoch per search, which makes
+/// the same store its "each shared expression at most once per relay"
+/// memo.
+#[derive(Debug, Default)]
+pub(super) struct ValueCache {
+    pub(super) values: Vec<Option<i64>>,
+    /// The epoch each slot was last evaluated (or carried forward) in.
+    pub(super) epochs: Vec<u64>,
     pub(super) epoch: u64,
 }
 
-impl ValueCache<'_> {
+impl ValueCache {
+    /// Grows the store to cover `len` expressions.
+    pub(super) fn cover(&mut self, len: usize) {
+        if self.values.len() < len {
+            self.values.resize(len, None);
+            self.epochs.resize(len, 0);
+        }
+    }
+
     fn value_of<S>(
         &mut self,
         id: ExprId,
         state: &S,
         exprs: &ExprTable<S>,
-        stats: &SyncCounters,
+        tally: &mut RelayTally,
     ) -> i64 {
         let idx = id.index();
-        if idx >= self.values.len() {
-            self.values.resize(idx + 1, None);
-            self.epochs.resize(idx + 1, 0);
-        }
+        self.cover(idx + 1);
         match (self.epochs[idx] == self.epoch, self.values[idx]) {
             (true, Some(v)) => v,
             _ => {
-                stats.record_expr_eval();
+                tally.expr_evals += 1;
                 let v = exprs.eval(id, state);
                 self.values[idx] = Some(v);
                 self.epochs[idx] = self.epoch;

@@ -571,11 +571,14 @@ impl<S> Monitor<S> {
 
     /// Convenience: enter, mutate the state, exit (relaying as always).
     ///
-    /// Unlike [`Monitor::enter`], a contended `with` does not queue on
-    /// the mutex: it publishes the whole occupancy into the monitor's
-    /// flat-combining slab and the current holder runs it at exit. The
+    /// Unlike [`Monitor::enter`], a `with` that finds another thread
+    /// *inside* the monitor publishes the whole occupancy into the
+    /// monitor's flat-combining slab and the holder runs it at exit. The
     /// extra `Send` bounds let the closure and its result cross to the
-    /// combining thread.
+    /// combining thread. Publishing is an optimisation, not a promise:
+    /// when the monitor is merely kept off the elided lane by parked
+    /// waiters, when no holder is left to combine, or when the slab is
+    /// full, the call queues on the mutex like `enter`.
     pub fn with<R: Send>(&self, f: impl FnOnce(&mut S) -> R + Send) -> R {
         self.with_combinable(None, f)
     }
@@ -590,8 +593,10 @@ impl<S> Monitor<S> {
     }
 
     /// The shared `with`/`with_tracked` engine: elided lane when
-    /// quiescent, flat-combining publication when contended, plain slow
-    /// lane when the fast path is off or the slab is full.
+    /// quiescent, flat-combining publication when another thread holds
+    /// the monitor, plain slow lane when nobody does (only waiters'
+    /// presence shut the lane), the fast path is off or the slab is
+    /// full.
     fn with_combinable<R: Send>(
         &self,
         drain: Option<DrainFn<S>>,
@@ -612,6 +617,15 @@ impl<S> Monitor<S> {
             let tctx = telemetry::context_enter(self.token);
             return self.run_elided(me, started, tctx, drain, |g| f(g.state_mut()));
         }
+        // The lane is shut but nobody holds the monitor: parked waiters
+        // keep their presence while they sleep. There is no combiner to
+        // publish to, so take the slow lane like `enter`. The read may be
+        // stale either way without harm — seen free while held, this
+        // caller queues on the mutex; seen held while free, it publishes
+        // below and `await_done` hands the op straight back.
+        if self.owner.load(Ordering::Relaxed) == 0 {
+            return self.enter_inner(drain, |g| f(g.state_mut()));
+        }
         // Contended: publish the occupancy and let the current holder
         // combine it into its own exit. The op writes its result into
         // `result` on this stack frame; `await_done` blocks until the
@@ -619,7 +633,7 @@ impl<S> Monitor<S> {
         // outlives every access.
         let mut result: Option<R> = None;
         let out = SendPtr(&mut result as *mut Option<R>);
-        let stats = Arc::clone(&self.stats);
+        let stats = &self.stats;
         let op: Box<dyn FnOnce(*mut ()) + Send> = Box::new(move |ptr: *mut ()| {
             // Move the whole `SendPtr` in (not just its pointer field),
             // so the closure's `Send` comes from the wrapper.
@@ -1074,12 +1088,11 @@ impl<S> MonitorGuard<'_, S> {
             }
         }
         monitor.stats.counters.record_wait();
-        let pid = {
-            let stats = Arc::clone(&monitor.stats);
-            self.inner_mut()
-                .mgr
-                .register_waiter_slot(cond.slot(), cond.predicate_arc(), &stats)
-        };
+        let pid = self.inner_mut().mgr.register_waiter_slot(
+            cond.slot(),
+            cond.predicate_arc(),
+            &monitor.stats,
+        );
         self.wait_registered(pid, Some(cond.slot()), deadline)
     }
 
@@ -1142,7 +1155,7 @@ impl<S> MonitorGuard<'_, S> {
 
     fn wait_until_predicate(&mut self, pred: Predicate<S>, deadline: Option<Instant>) -> bool {
         let monitor = self.monitor;
-        let stats = Arc::clone(&monitor.stats);
+        let stats = &monitor.stats;
 
         // Fig. 6: "if P is false ..." — the fast path avoids registration.
         {
@@ -1155,7 +1168,7 @@ impl<S> MonitorGuard<'_, S> {
         }
 
         stats.counters.record_wait();
-        let pid = self.inner_mut().mgr.register_waiter(pred, &stats);
+        let pid = self.inner_mut().mgr.register_waiter(pred, stats);
         self.wait_registered(pid, None, deadline)
     }
 
@@ -1208,8 +1221,10 @@ impl<S> MonitorGuard<'_, S> {
         deadline: Option<Instant>,
         wait_id: u64,
     ) -> bool {
+        // Borrowed through the `Copy` monitor reference, not through
+        // `self`: the stats outlive every `&mut self` use below.
         let monitor = self.monitor;
-        let stats = Arc::clone(&monitor.stats);
+        let stats = &monitor.stats;
 
         // An elided occupancy is about to block: move onto the mutex
         // protocol (keeping word presence, so fast acquires stay
@@ -1221,10 +1236,10 @@ impl<S> MonitorGuard<'_, S> {
         self.flush_tracked();
 
         if monitor.config.signal_mode() == SignalMode::Parked {
-            return self.wait_parked(pid, deadline, wait_id, &stats);
+            return self.wait_parked(pid, deadline, wait_id, stats);
         }
         if monitor.config.signal_mode() == SignalMode::Routed {
-            return self.wait_routed(pid, slot, deadline, wait_id, &stats);
+            return self.wait_routed(pid, slot, deadline, wait_id, stats);
         }
 
         loop {
@@ -1238,7 +1253,7 @@ impl<S> MonitorGuard<'_, S> {
                     signaled,
                     ..
                 } = &mut **guard;
-                mgr.relay_signal(state, &exprs, &stats);
+                mgr.relay_signal(state, &exprs, stats);
                 // Going to wait passes the baton (the relay call above), so
                 // any signal this occupancy had consumed is discharged.
                 *signaled = false;
@@ -1276,7 +1291,7 @@ impl<S> MonitorGuard<'_, S> {
 
             if holds {
                 let inner = self.inner_mut();
-                inner.mgr.consume_signal(pid, &stats);
+                inner.mgr.consume_signal(pid, stats);
                 inner.dirty = false;
                 inner.signaled = true;
                 return true;
@@ -1286,14 +1301,14 @@ impl<S> MonitorGuard<'_, S> {
                 stats.counters.record_timeout();
                 let must_relay = {
                     let inner = self.inner_mut();
-                    inner.mgr.on_timeout(pid, &stats)
+                    inner.mgr.on_timeout(pid, stats)
                 };
                 if must_relay {
                     // We absorbed a signal meant for someone: pass it on.
                     let exprs = monitor.exprs.read();
                     let guard = self.inner.as_mut().expect("guard released");
                     let Inner { state, mgr, .. } = &mut **guard;
-                    mgr.relay_signal(state, &exprs, &stats);
+                    mgr.relay_signal(state, &exprs, stats);
                 }
                 self.inner_mut().dirty = false;
                 return false;
@@ -1303,7 +1318,7 @@ impl<S> MonitorGuard<'_, S> {
             // condition; rejoin the waiting pool.
             stats.counters.record_futile_wakeup();
             let inner = self.inner_mut();
-            inner.mgr.mark_futile(pid, &stats);
+            inner.mgr.mark_futile(pid, stats);
             inner.dirty = false;
         }
     }
@@ -1864,7 +1879,7 @@ impl<'m, S> MonitorGuard<'m, S> {
             SignalMode::Routed,
             "wait_async requires SignalMode::Routed (async waiters are routed bucket entries)"
         );
-        let stats = Arc::clone(&monitor.stats);
+        let stats = &monitor.stats;
         // Async waiters live on the mutex protocol like any blocked
         // waiter; an elided registrar moves over first.
         self.downgrade_if_elided();
@@ -1876,7 +1891,7 @@ impl<'m, S> MonitorGuard<'m, S> {
         let pid =
             self.inner_mut()
                 .mgr
-                .register_waiter_slot(cond.slot(), cond.predicate_arc(), &stats);
+                .register_waiter_slot(cond.slot(), cond.predicate_arc(), stats);
         let (wake, pred, gate) = {
             let inner = self.inner();
             (
@@ -2009,7 +2024,7 @@ impl<'m, S> AsyncWaitCore<'m, S> {
             me,
             "polled a wait_async future while holding its monitor"
         );
-        let stats = Arc::clone(&monitor.stats);
+        let stats = &monitor.stats;
         loop {
             let Some(epoch) = self.wslot.poll_token(cx.waker()) else {
                 return Poll::Pending;
@@ -2069,7 +2084,7 @@ impl<'m, S> AsyncWaitCore<'m, S> {
                 inner.mgr.entry_pred(self.pid).eval(&inner.state, &exprs)
             };
             if holds {
-                inner.mgr.consume_signal(self.pid, &stats);
+                inner.mgr.consume_signal(self.pid, stats);
                 // The baton rule, task-side: re-inject the token at the
                 // resolved guard's exit so the next bucket peer can
                 // confirm against the post-claim state. The
@@ -2089,7 +2104,7 @@ impl<'m, S> AsyncWaitCore<'m, S> {
             // lock (the still-open claim covers the bucket until then).
             stats.counters.record_futile_wakeup();
             let epoch_now = {
-                inner.mgr.mark_futile(self.pid, &stats);
+                inner.mgr.mark_futile(self.pid, stats);
                 inner.dirty = false;
                 inner.mgr.current_epoch()
             };
@@ -2108,7 +2123,7 @@ impl<'m, S> AsyncWaitCore<'m, S> {
                     signaled,
                     ..
                 } = &mut *inner;
-                mgr.relay_signal(state, &exprs, &stats);
+                mgr.relay_signal(state, &exprs, stats);
                 *signaled = false;
                 mgr.drain_routed_wakes(&mut self.wake_buf)
             };
@@ -2182,7 +2197,7 @@ impl<'m, S> AsyncWaitCore<'m, S> {
     /// just turned true; a token-free success needs no re-injection).
     fn finish_timeout(&mut self) -> Option<MonitorGuard<'m, S>> {
         let monitor = self.monitor;
-        let stats = Arc::clone(&monitor.stats);
+        let stats = &monitor.stats;
         let ticket = self.ticket.take().expect("timing out without a ticket");
         self.wake.dequeue(ticket, true);
         if let Some(residual) = self.wslot.take_pending() {
@@ -2199,14 +2214,14 @@ impl<'m, S> AsyncWaitCore<'m, S> {
             inner.mgr.entry_pred(self.pid).eval(&inner.state, &exprs)
         };
         if holds {
-            inner.mgr.consume_signal(self.pid, &stats);
+            inner.mgr.consume_signal(self.pid, stats);
             self.wake.end_claim(self.gate, self.bucket);
             inner.dirty = false;
             inner.signaled = false;
             return Some(self.finish_claim(inner));
         }
         stats.counters.record_timeout();
-        let _ = inner.mgr.on_timeout(self.pid, &stats);
+        let _ = inner.mgr.on_timeout(self.pid, stats);
         inner.dirty = false;
         self.wake.end_claim(self.gate, self.bucket);
         monitor.owner.store(0, Ordering::Relaxed);
@@ -2250,7 +2265,7 @@ impl<'m, S> AsyncWaitCore<'m, S> {
         }
         self.done = true;
         let monitor = self.monitor;
-        let stats = Arc::clone(&monitor.stats);
+        let stats = &monitor.stats;
         let ticket = self.ticket.take().expect("cancelling without a ticket");
         self.wake.dequeue(ticket, true);
         if let Some(residual) = self.wslot.take_pending() {
@@ -2263,7 +2278,7 @@ impl<'m, S> AsyncWaitCore<'m, S> {
             panic!("dropped a pending wait_async future while holding its monitor");
         }
         let mut inner = monitor.inner.lock();
-        let _ = inner.mgr.on_timeout(self.pid, &stats);
+        let _ = inner.mgr.on_timeout(self.pid, stats);
         self.wake.end_claim(self.gate, self.bucket);
         drop(inner);
         if monitor.config.fast_path_enabled() {

@@ -19,14 +19,21 @@
 //! weakest-to-strongest. An ordered-map variant
 //! ([`ThresholdIndexKind::OrderedMap`]) exists as an ablation — it walks
 //! the same ranks in order without the backup dance.
+//!
+//! The two sides of every expression sit in a `Vec` indexed by
+//! [`ExprId::index`], next to a sorted list of the expressions that carry
+//! a tag. A side outlives its last tag and the backup list is part of it,
+//! so neither a tag that comes and goes with every wait nor a search that
+//! polls allocates once the structures have reached their working size.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::btree_map::{BTreeMap, Entry};
 
 use autosynch_predicate::expr::ExprId;
 use autosynch_predicate::tag::ThresholdOp;
 
 use crate::config::ThresholdIndexKind;
-use crate::eq_index::TaggedConj;
+use crate::dense::{slot_mut, IntMap, LiveExprs};
+use crate::eq_index::{Conjs, TaggedConj};
 use crate::indexed_heap::{IndexedHeap, NodeId};
 
 /// Which heap a tag belongs to.
@@ -39,6 +46,9 @@ enum SideKind {
 }
 
 impl SideKind {
+    /// Search order, and a side's position in its expression's pair.
+    const BOTH: [SideKind; 2] = [SideKind::Min, SideKind::Max];
+
     fn of(op: ThresholdOp) -> SideKind {
         if op.is_min_side() {
             SideKind::Min
@@ -73,14 +83,17 @@ impl SideKind {
 struct Bucket {
     key: i64,
     inclusive: bool,
-    entries: Vec<TaggedConj>,
+    entries: Conjs,
 }
 
 /// One side (min or max) for one shared expression.
 enum SideStore {
     Heap {
         heap: IndexedHeap<i128, Bucket>,
-        nodes: HashMap<i128, NodeId>,
+        nodes: IntMap<i128, NodeId>,
+        /// Fig. 4's backup list: empty between searches, kept for its
+        /// capacity.
+        backup: Vec<(i128, Bucket)>,
     },
     Map(BTreeMap<i128, Bucket>),
 }
@@ -99,7 +112,8 @@ impl SideStore {
         match kind {
             ThresholdIndexKind::PaperHeap => SideStore::Heap {
                 heap: IndexedHeap::new(),
-                nodes: HashMap::new(),
+                nodes: IntMap::default(),
+                backup: Vec::new(),
             },
             ThresholdIndexKind::OrderedMap => SideStore::Map(BTreeMap::new()),
         }
@@ -108,7 +122,7 @@ impl SideStore {
     fn insert(&mut self, side: SideKind, key: i64, inclusive: bool, entry: TaggedConj) {
         let rank = side.rank(key, inclusive);
         match self {
-            SideStore::Heap { heap, nodes } => {
+            SideStore::Heap { heap, nodes, .. } => {
                 if let Some(&id) = nodes.get(&rank) {
                     heap.value_mut(id).entries.push(entry);
                 } else {
@@ -117,45 +131,38 @@ impl SideStore {
                         Bucket {
                             key,
                             inclusive,
-                            entries: vec![entry],
+                            entries: Conjs::One(entry),
                         },
                     );
                     nodes.insert(rank, id);
                 }
             }
-            SideStore::Map(map) => {
-                map.entry(rank)
-                    .or_insert_with(|| Bucket {
+            SideStore::Map(map) => match map.entry(rank) {
+                Entry::Occupied(bucket) => bucket.into_mut().entries.push(entry),
+                Entry::Vacant(slot) => {
+                    slot.insert(Bucket {
                         key,
                         inclusive,
-                        entries: Vec::new(),
-                    })
-                    .entries
-                    .push(entry);
-            }
+                        entries: Conjs::One(entry),
+                    });
+                }
+            },
         }
     }
 
     fn remove(&mut self, side: SideKind, key: i64, inclusive: bool, entry: TaggedConj) {
         let rank = side.rank(key, inclusive);
         match self {
-            SideStore::Heap { heap, nodes } => {
+            SideStore::Heap { heap, nodes, .. } => {
                 let Some(&id) = nodes.get(&rank) else { return };
-                let bucket = heap.value_mut(id);
-                if let Some(pos) = bucket.entries.iter().position(|&e| e == entry) {
-                    bucket.entries.swap_remove(pos);
-                }
-                if bucket.entries.is_empty() {
+                if heap.value_mut(id).entries.remove(entry) {
                     heap.remove(id);
                     nodes.remove(&rank);
                 }
             }
             SideStore::Map(map) => {
                 if let Some(bucket) = map.get_mut(&rank) {
-                    if let Some(pos) = bucket.entries.iter().position(|&e| e == entry) {
-                        bucket.entries.swap_remove(pos);
-                    }
-                    if bucket.entries.is_empty() {
+                    if bucket.entries.remove(entry) {
                         map.remove(&rank);
                     }
                 }
@@ -173,15 +180,19 @@ impl SideStore {
         check: &mut dyn FnMut(TaggedConj) -> bool,
     ) -> Option<TaggedConj> {
         match self {
-            SideStore::Heap { heap, nodes } => {
-                let mut backup: Vec<(i128, Bucket)> = Vec::new();
+            SideStore::Heap {
+                heap,
+                nodes,
+                backup,
+            } => {
                 let mut found = None;
                 // "tag t = heap.peek(); while t is true ..."
                 while let Some((id, _, bucket)) = heap.peek() {
                     if !side.tag_true(value, bucket.key, bucket.inclusive) {
                         break;
                     }
-                    if let Some(hit) = bucket.entries.iter().copied().find(|&e| check(e)) {
+                    let entries = bucket.entries.as_slice();
+                    if let Some(hit) = entries.iter().copied().find(|&e| check(e)) {
                         found = Some(hit);
                         break;
                     }
@@ -191,7 +202,7 @@ impl SideStore {
                     backup.push((rank, bucket));
                 }
                 // "foreach b in backup: heap.add(b)"
-                for (rank, bucket) in backup {
+                for (rank, bucket) in backup.drain(..) {
                     let id = heap.insert(rank, bucket);
                     nodes.insert(rank, id);
                 }
@@ -202,7 +213,8 @@ impl SideStore {
                     if !side.tag_true(value, bucket.key, bucket.inclusive) {
                         break;
                     }
-                    if let Some(hit) = bucket.entries.iter().copied().find(|&e| check(e)) {
+                    let entries = bucket.entries.as_slice();
+                    if let Some(hit) = entries.iter().copied().find(|&e| check(e)) {
                         return Some(hit);
                     }
                 }
@@ -213,8 +225,11 @@ impl SideStore {
 
     fn len(&self) -> usize {
         match self {
-            SideStore::Heap { heap, .. } => heap.iter().map(|(_, _, b)| b.entries.len()).sum(),
-            SideStore::Map(map) => map.values().map(|b| b.entries.len()).sum(),
+            SideStore::Heap { heap, .. } => heap
+                .iter()
+                .map(|(_, _, b)| b.entries.as_slice().len())
+                .sum(),
+            SideStore::Map(map) => map.values().map(|b| b.entries.as_slice().len()).sum(),
         }
     }
 
@@ -230,7 +245,12 @@ impl SideStore {
 #[derive(Debug)]
 pub struct ThresholdIndex {
     kind: ThresholdIndexKind,
-    sides: HashMap<(ExprId, bool), SideStore>, // bool = is_min_side
+    /// `[min side, max side]` per expression, indexed by
+    /// `ExprId::index()` and grown on insert (expressions may be
+    /// registered late).
+    sides: Vec<[SideStore; 2]>,
+    /// The expressions with a tag on either side.
+    live: LiveExprs,
 }
 
 impl ThresholdIndex {
@@ -238,45 +258,42 @@ impl ThresholdIndex {
     pub fn new(kind: ThresholdIndexKind) -> Self {
         ThresholdIndex {
             kind,
-            sides: HashMap::new(),
+            sides: Vec::new(),
+            live: LiveExprs::default(),
         }
     }
 
     /// Registers the threshold tag `(expr op key)` for a conjunction.
     pub fn insert(&mut self, expr: ExprId, key: i64, op: ThresholdOp, entry: TaggedConj) {
+        let kind = self.kind;
+        let pair = slot_mut(&mut self.sides, expr, || {
+            [SideStore::new(kind), SideStore::new(kind)]
+        });
+        if pair.iter().all(SideStore::is_empty) {
+            self.live.insert(expr);
+        }
         let side = SideKind::of(op);
-        self.sides
-            .entry((expr, op.is_min_side()))
-            .or_insert_with(|| SideStore::new(self.kind))
-            .insert(side, key, op.is_inclusive(), entry);
+        pair[side as usize].insert(side, key, op.is_inclusive(), entry);
     }
 
-    /// Unregisters a previously inserted tag.
+    /// Unregisters a previously inserted tag. An expression whose last
+    /// tag went leaves [`ThresholdIndex::live_exprs`].
     pub fn remove(&mut self, expr: ExprId, key: i64, op: ThresholdOp, entry: TaggedConj) {
+        let Some(pair) = self.sides.get_mut(expr.index()) else {
+            return;
+        };
         let side = SideKind::of(op);
-        if let Some(store) = self.sides.get_mut(&(expr, op.is_min_side())) {
-            store.remove(side, key, op.is_inclusive(), entry);
-            if store.is_empty() {
-                self.sides.remove(&(expr, op.is_min_side()));
-            }
+        pair[side as usize].remove(side, key, op.is_inclusive(), entry);
+        if pair.iter().all(SideStore::is_empty) {
+            self.live.remove(expr);
         }
     }
 
-    /// Expressions that currently carry at least one threshold tag.
-    pub fn exprs(&self) -> impl Iterator<Item = ExprId> + '_ {
-        let mut seen: Vec<ExprId> = self.sides.keys().map(|&(e, _)| e).collect();
-        seen.sort_unstable();
-        seen.dedup();
-        seen.into_iter()
-    }
-
-    /// Like [`ThresholdIndex::exprs`] but filling a caller-owned buffer,
-    /// so per-relay hot paths avoid a fresh allocation.
-    pub fn collect_exprs(&self, out: &mut Vec<ExprId>) {
-        out.clear();
-        out.extend(self.sides.keys().map(|&(e, _)| e));
-        out.sort_unstable();
-        out.dedup();
+    /// Expressions that currently carry at least one threshold tag, in
+    /// `ExprId` order. A search never changes this list, so the relay
+    /// may walk it by position while it searches.
+    pub fn live_exprs(&self) -> &[ExprId] {
+        self.live.as_slice()
     }
 
     /// Runs the Fig. 4 search over both sides of `expr` given its current
@@ -288,25 +305,20 @@ impl ThresholdIndex {
         value: i64,
         check: &mut dyn FnMut(TaggedConj) -> bool,
     ) -> Option<TaggedConj> {
-        for is_min in [true, false] {
-            if let Some(store) = self.sides.get_mut(&(expr, is_min)) {
-                let side = if is_min { SideKind::Min } else { SideKind::Max };
-                if let Some(hit) = store.search(side, value, check) {
-                    return Some(hit);
-                }
-            }
-        }
-        None
+        let pair = self.sides.get_mut(expr.index())?;
+        SideKind::BOTH
+            .into_iter()
+            .find_map(|side| pair[side as usize].search(side, value, check))
     }
 
     /// Total number of registered tags.
     pub fn len(&self) -> usize {
-        self.sides.values().map(SideStore::len).sum()
+        self.sides.iter().flatten().map(SideStore::len).sum()
     }
 
     /// Whether no tags are registered.
     pub fn is_empty(&self) -> bool {
-        self.sides.is_empty()
+        self.live.as_slice().is_empty()
     }
 }
 
@@ -463,11 +475,16 @@ mod tests {
             let ps = pids(2);
             idx.insert(e, 5, ThresholdOp::Ge, ps[0]);
             idx.insert(e, 5, ThresholdOp::Le, ps[1]);
-            assert_eq!(idx.exprs().count(), 1);
+            assert_eq!(idx.live_exprs(), &[e]);
             idx.remove(e, 5, ThresholdOp::Ge, ps[0]);
+            assert_eq!(idx.live_exprs(), &[e], "the max side still has a tag");
             idx.remove(e, 5, ThresholdOp::Le, ps[1]);
             assert!(idx.is_empty());
-            assert_eq!(idx.exprs().count(), 0);
+            assert!(idx.live_exprs().is_empty());
+            // The emptied sides are reused, not rebuilt.
+            idx.insert(e, 6, ThresholdOp::Ge, ps[0]);
+            assert_eq!(idx.live_exprs(), &[e]);
+            assert_eq!(idx.search(e, 6, &mut |_| true), Some(ps[0]));
         });
     }
 
@@ -497,11 +514,9 @@ mod tests {
             let mut idx = index(kind);
             let (e0, e1) = (ExprId::from_raw(0), ExprId::from_raw(1));
             let ps = pids(2);
-            idx.insert(e0, 5, ThresholdOp::Ge, ps[0]);
             idx.insert(e1, 5, ThresholdOp::Ge, ps[1]);
-            let mut exprs: Vec<_> = idx.exprs().collect();
-            exprs.sort();
-            assert_eq!(exprs, vec![e0, e1]);
+            idx.insert(e0, 5, ThresholdOp::Ge, ps[0]);
+            assert_eq!(idx.live_exprs(), &[e0, e1]);
             let hit = idx.search(e1, 9, &mut |_| true);
             assert_eq!(hit, Some(ps[1]));
         });

@@ -72,6 +72,46 @@ macro_rules! counter_methods {
     };
 }
 
+/// Bulk increments: one `fetch_add(n)` for `n` events, none for zero.
+macro_rules! bulk_counter_methods {
+    ($($(#[$doc:meta])* $record:ident => $field:ident),+ $(,)?) => {
+        $(
+            $(#[$doc])*
+            #[inline]
+            pub fn $record(&self, n: u64) {
+                if n != 0 {
+                    self.$field.fetch_add(n, Ordering::Relaxed);
+                }
+            }
+        )+
+    };
+}
+
+/// What one relay pass counts, in plain integers.
+///
+/// The relay runs under the monitor lock and may examine many candidates
+/// per pass; bumping a shared atomic for each would cost one locked
+/// read-modify-write per candidate on a cache line every other thread's
+/// enter also writes. The pass counts here instead, and
+/// [`SyncCounters::add_tally`] adds the lot with one `fetch_add` per
+/// counter that moved. The fields mirror the `record_*` methods of the
+/// same names.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[allow(missing_docs)]
+pub struct RelayTally {
+    pub relay_calls: u64,
+    pub relay_hits: u64,
+    pub relay_skips: u64,
+    pub signals: u64,
+    pub pred_evals: u64,
+    pub expr_evals: u64,
+    pub probes_skipped: u64,
+    pub unchanged_exprs: u64,
+    pub batched_signals: u64,
+    pub eq_routed_wakes: u64,
+    pub ladder_skips: u64,
+}
+
 impl SyncCounters {
     /// Creates a zeroed counter set.
     pub fn new() -> Self {
@@ -189,24 +229,44 @@ impl SyncCounters {
         record_fc_publish => fc_publishes,
     }
 
-    /// Adds `n` predicate evaluations at once.
-    #[inline]
-    pub fn record_pred_evals(&self, n: u64) {
-        self.pred_evals.fetch_add(n, Ordering::Relaxed);
+    bulk_counter_methods! {
+        /// Adds `n` predicate evaluations at once.
+        record_pred_evals => pred_evals,
+        /// Adds `n` unparks at once (broadcast deliveries count their
+        /// whole gate in one add).
+        record_unparks => unparks,
+        /// Adds `n` ladder skips at once (one relay probe prunes a whole
+        /// suffix of provably-false rungs in one range count).
+        record_ladder_skips => ladder_skips,
+        /// Adds `n` tag inserts at once (a predicate activates the tags
+        /// of all its conjunctions together).
+        record_tag_inserts => tag_inserts,
+        /// Adds `n` tag removes at once.
+        record_tag_removes => tag_removes,
+        /// Adds `n` global-shard routings at once.
+        record_cross_shard_preds => cross_shard_preds,
     }
 
-    /// Adds `n` unparks at once (broadcast deliveries count their whole
-    /// gate in one add).
-    #[inline]
-    pub fn record_unparks(&self, n: u64) {
-        self.unparks.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds `n` ladder skips at once (one relay probe prunes a whole
-    /// suffix of provably-false rungs in one range count).
-    #[inline]
-    pub fn record_ladder_skips(&self, n: u64) {
-        self.ladder_skips.fetch_add(n, Ordering::Relaxed);
+    /// Adds everything one relay pass counted: one `fetch_add` per
+    /// non-zero field of `tally`.
+    pub fn add_tally(&self, tally: &RelayTally) {
+        for (counter, n) in [
+            (&self.relay_calls, tally.relay_calls),
+            (&self.relay_hits, tally.relay_hits),
+            (&self.relay_skips, tally.relay_skips),
+            (&self.signals, tally.signals),
+            (&self.pred_evals, tally.pred_evals),
+            (&self.expr_evals, tally.expr_evals),
+            (&self.probes_skipped, tally.probes_skipped),
+            (&self.unchanged_exprs, tally.unchanged_exprs),
+            (&self.batched_signals, tally.batched_signals),
+            (&self.eq_routed_wakes, tally.eq_routed_wakes),
+            (&self.ladder_skips, tally.ladder_skips),
+        ] {
+            if n != 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        }
     }
 
     /// Captures the current counter values.
@@ -542,6 +602,56 @@ mod tests {
         let c = SyncCounters::new();
         c.record_ladder_skips(9);
         assert_eq!(c.snapshot().ladder_skips, 9);
+    }
+
+    #[test]
+    fn bulk_tag_counts_and_cross_shard() {
+        let c = SyncCounters::new();
+        c.record_tag_inserts(3);
+        c.record_tag_removes(2);
+        c.record_cross_shard_preds(0);
+        c.record_cross_shard_preds(4);
+        let s = c.snapshot();
+        assert_eq!(
+            (s.tag_inserts, s.tag_removes, s.cross_shard_preds),
+            (3, 2, 4)
+        );
+    }
+
+    #[test]
+    fn a_tally_adds_to_exactly_its_own_counters() {
+        let c = SyncCounters::new();
+        c.record_pred_eval();
+        let tally = RelayTally {
+            relay_calls: 1,
+            relay_hits: 2,
+            relay_skips: 3,
+            signals: 4,
+            pred_evals: 5,
+            expr_evals: 6,
+            probes_skipped: 7,
+            unchanged_exprs: 8,
+            batched_signals: 9,
+            eq_routed_wakes: 10,
+            ladder_skips: 11,
+        };
+        c.add_tally(&tally);
+        c.add_tally(&RelayTally::default());
+        let expected = CounterSnapshot {
+            relay_calls: 1,
+            relay_hits: 2,
+            relay_skips: 3,
+            signals: 4,
+            pred_evals: 6,
+            expr_evals: 6,
+            probes_skipped: 7,
+            unchanged_exprs: 8,
+            batched_signals: 9,
+            eq_routed_wakes: 10,
+            ladder_skips: 11,
+            ..CounterSnapshot::default()
+        };
+        assert_eq!(c.snapshot(), expected);
     }
 
     #[test]

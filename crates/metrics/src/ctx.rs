@@ -4,7 +4,8 @@
 //! is the wakeup counter in [`crate::counters`] (one wakeup = one voluntary
 //! context switch of a blocked thread), but on Linux we can also read the
 //! kernel's own `voluntary_ctxt_switches` from `/proc/thread-self/status`
-//! to calibrate the proxy. On other platforms the readers return `None`
+//! to calibrate the proxy, and the process-wide totals from
+//! `getrusage(RUSAGE_SELF)`. On other platforms the readers return `None`
 //! and the harness falls back to the proxy alone.
 
 use std::fmt;
@@ -51,9 +52,50 @@ pub fn current_thread() -> Option<CtxSwitches> {
     read_status_file("/proc/thread-self/status")
 }
 
-/// Reads the whole process's context-switch counters from the kernel.
+/// Reads the whole process's context-switch counters from the kernel:
+/// every thread's, including threads that have already exited — a
+/// harness that samples after joining its workers still sees their
+/// switches. (`/proc/self/status` would not do: its two lines describe
+/// the thread-group leader alone.)
 pub fn current_process() -> Option<CtxSwitches> {
-    read_status_file("/proc/self/status")
+    rusage_self()
+}
+
+/// `getrusage(RUSAGE_SELF)`, declared rather than imported: `std`
+/// already links libc. The layout below is the kernel's `struct rusage`
+/// on Linux LP64 targets, the only ones this is compiled for.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+fn rusage_self() -> Option<CtxSwitches> {
+    use std::ffi::{c_int, c_long};
+
+    #[repr(C)]
+    struct Rusage {
+        /// `ru_utime`, `ru_stime`: two `struct timeval` of two longs.
+        times: [c_long; 4],
+        /// `ru_maxrss` .. `ru_nivcsw`, in declaration order.
+        longs: [c_long; 14],
+    }
+    const RUSAGE_SELF: c_int = 0;
+    extern "C" {
+        fn getrusage(who: c_int, usage: *mut Rusage) -> c_int;
+    }
+
+    let mut usage = Rusage {
+        times: [0; 4],
+        longs: [0; 14],
+    };
+    // SAFETY: `usage` is a live, writable `struct rusage` for the
+    // duration of the call, which writes nothing beyond it.
+    let rc = unsafe { getrusage(RUSAGE_SELF, &mut usage) };
+    (rc == 0).then(|| CtxSwitches {
+        voluntary: usage.longs[12] as u64,   // ru_nvcsw
+        involuntary: usage.longs[13] as u64, // ru_nivcsw
+    })
+}
+
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+fn rusage_self() -> Option<CtxSwitches> {
+    None
 }
 
 fn read_status_file(path: &str) -> Option<CtxSwitches> {
@@ -135,6 +177,31 @@ nonvoluntary_ctxt_switches:\t7
         std::thread::sleep(std::time::Duration::from_millis(5));
         let after = current_thread().unwrap();
         assert!(after.voluntary >= before.voluntary);
+    }
+
+    #[test]
+    fn process_counts_cover_threads_that_have_exited() {
+        // Skip silently where the reader is unsupported.
+        let Some(before) = current_process() else {
+            return;
+        };
+        // More blocks than the harness's own threads can plausibly make
+        // meanwhile: the leader thread alone (what `/proc/self/status`
+        // reports) wakes at most once per finished test.
+        const BLOCKS: u64 = 400;
+        std::thread::spawn(|| {
+            for _ in 0..BLOCKS {
+                std::thread::sleep(std::time::Duration::from_micros(50));
+            }
+        })
+        .join()
+        .unwrap();
+        let delta = current_process().unwrap().since(&before);
+        assert!(
+            delta.voluntary >= BLOCKS,
+            "a joined thread blocked {BLOCKS} times, the process-wide delta reads {}",
+            delta.voluntary
+        );
     }
 
     #[test]
