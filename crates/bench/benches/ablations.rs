@@ -4,9 +4,6 @@
 //!   poll/backup/reinsert search vs. a plain ordered map walked
 //!   weakest-first. Run on the threshold-heavy parameterized bounded
 //!   buffer.
-//! * **Relay on clean exit**: the paper relays on *every* exit; skipping
-//!   relays after read-only occupancies is a sound optimization. Run on
-//!   a read-heavy workload.
 //! * **Predicate-table dedup**: syntax-equivalent predicates share one
 //!   condition variable (§5.2); measured against a workload where many
 //!   threads wait on the same condition.
@@ -61,43 +58,6 @@ fn bench_threshold_index(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new(label, "16w_x64"), |b| {
             b.iter(|| {
                 threshold_churn(MonitorConfig::new().threshold_index(kind), 16, 64);
-            })
-        });
-    }
-    group.finish();
-}
-
-/// Read-heavy workload: most monitor entries never mutate, so the
-/// relay-on-clean-exit policy is the whole cost difference.
-fn read_heavy(config: MonitorConfig, readers: usize, rounds: usize) {
-    let monitor = Arc::new(Monitor::with_config(Counter { value: 0 }, config));
-    let value = monitor.register_expr("value", |s: &Counter| s.value);
-    timed_run(readers + 1, |i| {
-        if i == 0 {
-            for _ in 0..rounds {
-                monitor.with(|s| s.value += 1);
-            }
-        } else {
-            for _ in 0..rounds {
-                // A read-only occupancy plus an occasional wait.
-                monitor.enter(|g| {
-                    let _ = g.state().value;
-                });
-            }
-            monitor.enter(|g| g.wait_transient(value.ge(rounds as i64)));
-        }
-    });
-}
-
-fn bench_relay_clean_exit(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_relay_clean_exit");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(2));
-
-    for (label, relay) in [("always_relay", true), ("skip_clean", false)] {
-        group.bench_function(BenchmarkId::new(label, "8r_x500"), |b| {
-            b.iter(|| {
-                read_heavy(MonitorConfig::new().relay_on_clean_exit(relay), 8, 500);
             })
         });
     }
@@ -331,7 +291,6 @@ fn bench_change_driven(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_threshold_index,
-    bench_relay_clean_exit,
     bench_dedup,
     bench_relay_width,
     bench_restricted_vs_full,

@@ -93,7 +93,6 @@ pub struct MonitorConfig {
     mode: SignalMode,
     timing: bool,
     inactive_cap: usize,
-    relay_on_clean_exit: bool,
     threshold_index: ThresholdIndexKind,
     relay_width: usize,
     validate_relay: bool,
@@ -109,7 +108,6 @@ impl Default for MonitorConfig {
             mode: SignalMode::Tagged,
             timing: false,
             inactive_cap: 64,
-            relay_on_clean_exit: true,
             threshold_index: ThresholdIndexKind::PaperHeap,
             relay_width: 1,
             validate_relay: false,
@@ -122,8 +120,8 @@ impl Default for MonitorConfig {
 }
 
 impl MonitorConfig {
-    /// The paper-default configuration (tagged, heap index, relay on
-    /// every exit, inactive list capped at 64).
+    /// The paper-default configuration (tagged, heap index, inactive
+    /// list capped at 64).
     pub fn new() -> Self {
         Self::default()
     }
@@ -162,20 +160,6 @@ impl MonitorConfig {
     /// oldest predicates").
     pub fn inactive_cap(mut self, cap: usize) -> Self {
         self.inactive_cap = cap;
-        self
-    }
-
-    /// Whether a monitor exit that never touched `state_mut` still runs
-    /// the relay rule. `true` is the paper's behaviour; `false` is a
-    /// sound optimization measured as an ablation: a read-only exit
-    /// cannot newly satisfy any predicate, so it has nothing to announce.
-    /// The skip applies only to occupancies that neither mutated **nor**
-    /// consumed a relay signal — a consumed signal is the relay baton
-    /// (§4.2) and the runtime always passes it on at exit, even under
-    /// this ablation, lest a signaled reader absorb the baton and strand
-    /// waiters whose predicates are already true.
-    pub fn relay_on_clean_exit(mut self, on: bool) -> Self {
-        self.relay_on_clean_exit = on;
         self
     }
 
@@ -274,11 +258,6 @@ impl MonitorConfig {
         self.inactive_cap
     }
 
-    /// Whether clean exits relay.
-    pub fn relays_on_clean_exit(&self) -> bool {
-        self.relay_on_clean_exit
-    }
-
     /// The configured threshold-index kind.
     pub fn threshold_index_kind(&self) -> ThresholdIndexKind {
         self.threshold_index
@@ -333,7 +312,6 @@ mod tests {
         assert_eq!(c.signal_mode(), SignalMode::Tagged);
         assert!(!c.timing_enabled());
         assert_eq!(c.inactive_capacity(), 64);
-        assert!(c.relays_on_clean_exit());
         assert_eq!(c.threshold_index_kind(), ThresholdIndexKind::PaperHeap);
         assert_eq!(c.relay_width_value(), 1);
         assert_eq!(c.transient_bucket_capacity(), 16);
@@ -358,7 +336,6 @@ mod tests {
             .mode(SignalMode::Untagged)
             .timing(true)
             .inactive_cap(8)
-            .relay_on_clean_exit(false)
             .threshold_index(ThresholdIndexKind::OrderedMap)
             .validate_relay(true)
             .transient_bucket_cap(3)
@@ -367,7 +344,6 @@ mod tests {
         assert_eq!(c.signal_mode(), SignalMode::Untagged);
         assert!(c.timing_enabled());
         assert_eq!(c.inactive_capacity(), 8);
-        assert!(!c.relays_on_clean_exit());
         assert_eq!(c.threshold_index_kind(), ThresholdIndexKind::OrderedMap);
         assert!(c.validates_relay());
         assert_eq!(c.transient_bucket_capacity(), 3);
@@ -393,7 +369,6 @@ mod tests {
             let c = MonitorConfig::preset(mode);
             assert_eq!(c.signal_mode(), mode);
             assert_eq!(c.inactive_capacity(), 64);
-            assert!(c.relays_on_clean_exit());
             assert_eq!(c.relay_width_value(), 1);
             assert_eq!(c.shard_count(), 8);
             assert_eq!(c.transient_bucket_capacity(), 16);

@@ -155,7 +155,7 @@ pub use baseline::BaselineMonitor;
 pub use config::{MonitorConfig, SignalMode, ThresholdIndexKind};
 pub use explicit::{CondId, ExplicitMonitor};
 pub use kessels::{KesselsCond, KesselsMonitor};
-pub use monitor::{ManagerCounts, Monitor, MonitorGuard};
+pub use monitor::{Cond, ManagerCounts, Monitor, MonitorGuard};
 pub use stats::{HoldSnapshot, HoldTimes, MonitorStats, StatsSnapshot};
 pub use telemetry::{EventKind, TraceEvent};
 pub use tracked::{Tracked, TrackedCell, TrackedState};
@@ -163,7 +163,6 @@ pub use tracked::{Tracked, TrackedCell, TrackedState};
 // Re-export the predicate vocabulary so `use autosynch::*` users can
 // build conditions without naming the analysis crate.
 pub use autosynch_predicate::ast::BoolExpr;
-pub use autosynch_predicate::cond::Cond;
 pub use autosynch_predicate::expr::{ExprHandle, ExprId, ExprTable};
 pub use autosynch_predicate::predicate::{IntoPredicate, Predicate};
 pub use autosynch_predicate::tag::Tag;

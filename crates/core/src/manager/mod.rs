@@ -40,7 +40,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
-use autosynch_metrics::counters::RelayTally;
+use autosynch_metrics::counters::OccupancyTally;
 use autosynch_metrics::phase::Phase;
 use autosynch_predicate::cond::CondTable;
 use autosynch_predicate::expr::{ExprId, ExprTable};
@@ -150,10 +150,13 @@ pub(crate) struct ConditionManager<S> {
     /// changed and coincidentally returned — so a non-contiguous slot is
     /// reported changed regardless of its cached value.
     cache: ValueCache,
-    /// What the running relay pass has counted so far, in plain
-    /// integers; [`ConditionManager::relay_signal`] adds it to the shared
-    /// counters once per pass.
-    tally: RelayTally,
+    /// What this occupancy has counted so far, in plain integers: the
+    /// manager's own counts (relay, tags) and the monitor's wait path
+    /// alike. It lives here because the manager sits inside the monitor's
+    /// exclusion — counting needs `&mut` to it, which only an occupant
+    /// has — and the monitor flushes it to the shared counters wherever
+    /// it gives the exclusion up.
+    pub(crate) tally: OccupancyTally,
     // --- change-driven relay state (ChangeDriven + Sharded) -------------
     /// How many active conjunctions depend on each expression — the set
     /// the snapshot diff evaluates.
@@ -238,7 +241,7 @@ impl<S> ConditionManager<S> {
             inactive: VecDeque::new(),
             config,
             cache: ValueCache::default(),
-            tally: RelayTally::default(),
+            tally: OccupancyTally::default(),
             dep_refs: DepRefs::default(),
             changed: Vec::new(),
             publish_scratch: Vec::new(),
@@ -272,6 +275,25 @@ impl<S> ConditionManager<S> {
         // diff must evaluate every live dependency.
         self.named_only = false;
         self.named.clear();
+    }
+
+    /// Whether a mutation has been announced that no snapshot diff has
+    /// seen yet (always `false` in the modes that keep no snapshot).
+    ///
+    /// An occupancy that finds this set owes a relay even if it is clean
+    /// itself. Mutations made over the elided lane are announced but not
+    /// diffed — nobody waited, so no relay ran. The diff's "unchanged"
+    /// verdict compares against the previous diff's state and prunes
+    /// probes on the strength of "every active conjunction was false
+    /// *there*"; a waiter that registers later found its predicate false
+    /// against the *current* state. The relay it runs before blocking is
+    /// what makes the two states one.
+    pub(crate) fn has_undiffed_mutation(&self) -> bool {
+        self.state_dirty
+            && !matches!(
+                self.config.signal_mode(),
+                SignalMode::Tagged | SignalMode::Untagged
+            )
     }
 
     /// Records a mutation whose writes, by the caller's contract
@@ -384,12 +406,14 @@ impl<S> ConditionManager<S> {
     /// table gets (or reuses) a **persistent** entry for it, and the
     /// returned slot resolves to that entry in O(1) forever after —
     /// `register_waiter_slot` is the allocation- and hash-free wait
-    /// path built on top.
+    /// path built on top. The entry's condition variable is returned
+    /// with it: the compiled handle carries it, so a wait blocks without
+    /// cloning it out of the entry.
     ///
     /// Persistence is what keeps slots valid: compiled conditions are
     /// the paper's §5.1 shared predicates ("added in the constructor
     /// and never removed"), generalized to any key.
-    pub(crate) fn compile(&mut self, pred: Predicate<S>) -> (u32, Arc<Predicate<S>>) {
+    pub(crate) fn compile(&mut self, pred: Predicate<S>) -> (u32, Arc<Predicate<S>>, Arc<Condvar>) {
         let (slot, arc) = self.conds.intern(pred);
         if slot as usize == self.cond_pids.len() {
             let pid = self.find_or_create(Arc::clone(&arc), true);
@@ -408,8 +432,8 @@ impl<S> ConditionManager<S> {
                 self.wake_router.register(slot, gate, route);
             }
         }
-        debug_assert!((slot as usize) < self.cond_pids.len());
-        (slot, arc)
+        let condvar = Arc::clone(&self.entries[self.cond_pids[slot as usize]].condvar);
+        (slot, arc, condvar)
     }
 
     /// Registers the calling thread as a waiter on the compiled
@@ -444,7 +468,7 @@ impl<S> ConditionManager<S> {
         );
         entry.waiting += 1;
         if !entry.tags_active {
-            self.activate_tags(pid, stats);
+            self.activate_tags(pid);
         }
         timer.finish();
         pid
@@ -461,14 +485,15 @@ impl<S> ConditionManager<S> {
         let entry = &mut self.entries[pid];
         entry.waiting += 1;
         if !entry.tags_active {
-            self.activate_tags(pid, stats);
+            self.activate_tags(pid);
         }
         timer.finish();
         pid
     }
 
-    /// The condition variable of an entry (cloned so the waiter can block
-    /// on it without borrowing the manager).
+    /// The condition variable of an entry, cloned so a transient waiter
+    /// can block on it without borrowing the manager (compiled conditions
+    /// carry theirs).
     pub(crate) fn condvar(&self, pid: PredId) -> Arc<Condvar> {
         Arc::clone(&self.entries[pid].condvar)
     }
@@ -513,7 +538,7 @@ impl<S> ConditionManager<S> {
         entry.waiting += 1;
         if !entry.tags_active {
             let timer = stats.phases.start(Phase::TagManager);
-            self.activate_tags(pid, stats);
+            self.activate_tags(pid);
             timer.finish();
         }
     }
@@ -532,7 +557,7 @@ impl<S> ConditionManager<S> {
             entry.waiting -= 1;
             if entry.waiting == 0 && entry.tags_active {
                 let timer = stats.phases.start(Phase::TagManager);
-                self.deactivate_tags(pid, stats);
+                self.deactivate_tags(pid);
                 timer.finish();
             }
         }
@@ -550,7 +575,7 @@ impl<S> ConditionManager<S> {
             entry.waiting -= 1;
             if entry.waiting == 0 && entry.tags_active {
                 let timer = stats.phases.start(Phase::TagManager);
-                self.deactivate_tags(pid, stats);
+                self.deactivate_tags(pid);
                 timer.finish();
             }
             self.maybe_retire(pid, stats);
@@ -581,17 +606,16 @@ impl<S> ConditionManager<S> {
         // happens under the monitor lock on behalf of other threads, so
         // its duration is the signaling share of the critical section.
         let hold_start = stats.phases.is_enabled().then(Instant::now);
+        // The flight recorder's summary of the pass is what the pass
+        // added to the occupancy's tally.
+        let pass_summary = |t: &OccupancyTally| (t.pred_evals, t.probes_skipped + t.relay_skips);
+        let before = pass_summary(&self.tally);
         let result = self.relay_dispatch(state, exprs, stats);
-        // The pass counted in plain integers; this is where the counts
-        // reach the shared counters — one `fetch_add` per counter that
-        // moved — and the flight recorder, whose summary of the pass is
-        // the tally itself.
-        let tally = std::mem::take(&mut self.tally);
-        stats.counters.add_tally(&tally);
+        let after = pass_summary(&self.tally);
         crate::telemetry::record(
             crate::telemetry::EventKind::RelayPass,
-            tally.pred_evals,
-            tally.probes_skipped + tally.relay_skips,
+            after.0 - before.0,
+            after.1 - before.1,
         );
         if let Some(start) = hold_start {
             stats.hold.record(start.elapsed());
@@ -1297,6 +1321,19 @@ impl<S> ConditionManager<S> {
         }
     }
 
+    /// Ground-truth audit of a relay the monitor did **not** run because
+    /// the occupancy owed none (armed by `validate_relay`): the mode's
+    /// own checker, against the live state, at the point the relay would
+    /// have run. It must pass exactly as it would after a relay — that
+    /// is the claim that the relay was not owed.
+    pub(crate) fn audit_skipped_relay(&self, state: &S, exprs: &ExprTable<S>) {
+        match self.config.signal_mode() {
+            SignalMode::Parked => self.check_parking_protocol(state, exprs),
+            SignalMode::Routed => self.check_wake_routing(state, exprs),
+            _ => self.check_relay_invariance(state, exprs),
+        }
+    }
+
     /// Verifies the sharded partition: every live conjunction's recorded
     /// shard matches a fresh route computation (the routing is total and
     /// deterministic), data-shard conjunctions are fully confined (all
@@ -1376,25 +1413,23 @@ impl<S> ConditionManager<S> {
         entry.condvar.notify_one();
         if entry.waiting == 0 {
             let timer = stats.phases.start(Phase::TagManager);
-            self.deactivate_tags(pid, stats);
+            self.deactivate_tags(pid);
             timer.finish();
         }
     }
 
-    fn activate_tags(&mut self, pid: PredId, stats: &MonitorStats) {
+    fn activate_tags(&mut self, pid: PredId) {
         let entry = &mut self.entries[pid];
         debug_assert!(!entry.tags_active);
         entry.tags_active = true;
         match self.config.signal_mode() {
             SignalMode::Untagged => {
-                stats.counters.record_tag_insert();
+                self.tally.tag_inserts += 1;
                 self.scan_list.push(pid);
             }
             SignalMode::Tagged => {
                 let shard = &mut self.shards[0];
-                stats
-                    .counters
-                    .record_tag_inserts(entry.pred.tags().len() as u64);
+                self.tally.tag_inserts += entry.pred.tags().len() as u64;
                 for (conj, &tag) in entry.pred.tags().iter().enumerate() {
                     let conj = conj as u32;
                     match tag {
@@ -1411,9 +1446,7 @@ impl<S> ConditionManager<S> {
             SignalMode::ChangeDriven => {
                 let shard = &mut self.shards[0];
                 let deps_per_conj = entry.pred.conj_deps();
-                stats
-                    .counters
-                    .record_tag_inserts(entry.pred.tags().len() as u64);
+                self.tally.tag_inserts += entry.pred.tags().len() as u64;
                 for (conj, &tag) in entry.pred.tags().iter().enumerate() {
                     let deps = &deps_per_conj[conj];
                     let conj = conj as u32;
@@ -1449,9 +1482,7 @@ impl<S> ConditionManager<S> {
                 // waiter's gate).
                 let deps_per_conj = entry.pred.conj_deps();
                 entry.routes.clear();
-                stats
-                    .counters
-                    .record_tag_inserts(deps_per_conj.len() as u64);
+                self.tally.tag_inserts += deps_per_conj.len() as u64;
                 let mut cross_shard = 0;
                 for deps in deps_per_conj {
                     let sid = self.router.route(deps);
@@ -1461,7 +1492,7 @@ impl<S> ConditionManager<S> {
                         self.dep_refs.acquire(expr);
                     }
                 }
-                stats.counters.record_cross_shard_preds(cross_shard);
+                self.tally.cross_shard_preds += cross_shard;
                 // Routed mode additionally indexes slotted entries for
                 // wake routing: eq route when the predicate has one,
                 // dependency route otherwise, nothing for global-gate
@@ -1477,9 +1508,7 @@ impl<S> ConditionManager<S> {
             SignalMode::Sharded => {
                 let deps_per_conj = entry.pred.conj_deps();
                 entry.routes.clear();
-                stats
-                    .counters
-                    .record_tag_inserts(entry.pred.tags().len() as u64);
+                self.tally.tag_inserts += entry.pred.tags().len() as u64;
                 let mut cross_shard = 0;
                 for (conj, &tag) in entry.pred.tags().iter().enumerate() {
                     let deps = &deps_per_conj[conj];
@@ -1517,27 +1546,25 @@ impl<S> ConditionManager<S> {
                         }
                     }
                 }
-                stats.counters.record_cross_shard_preds(cross_shard);
+                self.tally.cross_shard_preds += cross_shard;
             }
         }
     }
 
-    fn deactivate_tags(&mut self, pid: PredId, stats: &MonitorStats) {
+    fn deactivate_tags(&mut self, pid: PredId) {
         let entry = &mut self.entries[pid];
         debug_assert!(entry.tags_active);
         entry.tags_active = false;
         match self.config.signal_mode() {
             SignalMode::Untagged => {
-                stats.counters.record_tag_remove();
+                self.tally.tag_removes += 1;
                 if let Some(pos) = self.scan_list.iter().position(|&p| p == pid) {
                     self.scan_list.swap_remove(pos);
                 }
             }
             SignalMode::Tagged => {
                 let shard = &mut self.shards[0];
-                stats
-                    .counters
-                    .record_tag_removes(entry.pred.tags().len() as u64);
+                self.tally.tag_removes += entry.pred.tags().len() as u64;
                 for (conj, &tag) in entry.pred.tags().iter().enumerate() {
                     let conj = conj as u32;
                     match tag {
@@ -1560,9 +1587,7 @@ impl<S> ConditionManager<S> {
             SignalMode::Parked | SignalMode::Routed => {
                 let deps_per_conj = entry.pred.conj_deps();
                 debug_assert_eq!(entry.routes.len(), deps_per_conj.len());
-                stats
-                    .counters
-                    .record_tag_removes(deps_per_conj.len() as u64);
+                self.tally.tag_removes += deps_per_conj.len() as u64;
                 for deps in deps_per_conj {
                     for &expr in deps.exprs() {
                         self.dep_refs.release(expr);
@@ -1580,9 +1605,7 @@ impl<S> ConditionManager<S> {
                 if sharded {
                     debug_assert_eq!(entry.routes.len(), deps_per_conj.len());
                 }
-                stats
-                    .counters
-                    .record_tag_removes(entry.pred.tags().len() as u64);
+                self.tally.tag_removes += entry.pred.tags().len() as u64;
                 for (conj, &tag) in entry.pred.tags().iter().enumerate() {
                     let deps = &deps_per_conj[conj];
                     let sid = if sharded {

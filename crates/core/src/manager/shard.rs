@@ -23,7 +23,7 @@
 //!   filter because true-but-unsignaled waiters may hide behind
 //!   unchanged dependencies.
 
-use autosynch_metrics::counters::RelayTally;
+use autosynch_metrics::counters::OccupancyTally;
 use autosynch_predicate::expr::{ExprId, ExprTable};
 
 use crate::dense::slot_mut;
@@ -127,10 +127,10 @@ impl Shard {
         exprs: &ExprTable<S>,
         cache: &mut ValueCache,
         changed: Option<&[bool]>,
-        tally: &mut RelayTally,
+        tally: &mut OccupancyTally,
     ) -> Option<PredId> {
         // Evaluates one candidate a true tag (or no tag) led to.
-        let check = |(pid, conj): TaggedConj, tally: &mut RelayTally| -> bool {
+        let check = |(pid, conj): TaggedConj, tally: &mut OccupancyTally| -> bool {
             let pred = &entries[pid].pred;
             if let Some(changed) = changed {
                 if !pred.conj_deps()[conj as usize].intersects(changed) {
@@ -243,7 +243,7 @@ impl ValueCache {
         id: ExprId,
         state: &S,
         exprs: &ExprTable<S>,
-        tally: &mut RelayTally,
+        tally: &mut OccupancyTally,
     ) -> i64 {
         let idx = id.index();
         self.cover(idx + 1);

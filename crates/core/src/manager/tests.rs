@@ -6,6 +6,16 @@ struct St {
     count: i64,
 }
 
+/// The shared counters once what `mgr` has counted is flushed to them —
+/// the monitor's step wherever an occupant gives up its exclusion.
+fn counted<S>(
+    mgr: &mut ConditionManager<S>,
+    stats: &MonitorStats,
+) -> autosynch_metrics::counters::CounterSnapshot {
+    stats.counters.flush(&mut mgr.tally);
+    stats.counters.snapshot()
+}
+
 fn setup() -> (
     ExprTable<St>,
     ExprHandle<St>,
@@ -129,13 +139,13 @@ fn untagged_mode_scans_linearly() {
     let (exprs, count, _, _) = setup();
     let mut mgr = ConditionManager::new(MonitorConfig::preset(SignalMode::Untagged));
     let stats = MonitorStats::new(false);
-    let before = stats.counters.snapshot();
+    let before = counted(&mut mgr, &stats);
     let _a = mgr.register_waiter(count.eq(100).into_predicate(), &stats);
     let b = mgr.register_waiter(count.ge(1).into_predicate(), &stats);
     let hit = mgr.relay_signal(&St { count: 1 }, &exprs, &stats);
     assert_eq!(hit, Some(b));
     // The scan evaluated entry `a`'s whole predicate too.
-    let after = stats.counters.snapshot().since(&before);
+    let after = counted(&mut mgr, &stats).since(&before);
     assert!(after.pred_evals >= 2);
     assert_eq!(after.expr_evals, 0, "untagged mode does no expr caching");
 }
@@ -321,12 +331,12 @@ fn change_driven_skips_relay_on_unchanged_state() {
     mgr.register_waiter(count.ge(10).into_predicate(), &stats);
     let state = St { count: 3 };
     assert_eq!(mgr.relay_signal(&state, &exprs, &stats), None);
-    let before = stats.counters.snapshot();
+    let before = counted(&mut mgr, &stats);
     // No mutation announced: the second and third relays are skipped
     // without evaluating anything.
     assert_eq!(mgr.relay_signal(&state, &exprs, &stats), None);
     assert_eq!(mgr.relay_signal(&state, &exprs, &stats), None);
-    let diff = stats.counters.snapshot().since(&before);
+    let diff = counted(&mut mgr, &stats).since(&before);
     assert_eq!(diff.relay_skips, 2);
     assert_eq!(diff.expr_evals, 0);
     assert_eq!(diff.pred_evals, 0);
@@ -347,10 +357,10 @@ fn change_driven_skips_probes_for_unchanged_dependencies() {
     mgr.register_waiter(b.le(100).and(b.ge(10)).into_predicate(), &stats);
     assert_eq!(mgr.relay_signal(&St2 { a: 0, b: 0 }, &exprs, &stats), None);
     mgr.note_mutation();
-    let before = stats.counters.snapshot();
+    let before = counted(&mut mgr, &stats);
     // `a` changes but stays below threshold; `b` is untouched.
     assert_eq!(mgr.relay_signal(&St2 { a: 5, b: 0 }, &exprs, &stats), None);
-    let diff = stats.counters.snapshot().since(&before);
+    let diff = counted(&mut mgr, &stats).since(&before);
     assert_eq!(diff.expr_evals, 2, "both live exprs diffed once");
     assert_eq!(diff.unchanged_exprs, 1, "b matched the snapshot");
     assert_eq!(
@@ -410,9 +420,9 @@ fn change_driven_probe_all_catches_leftover_true_waiters() {
     assert_eq!(signaled, expected);
     // Both signaled: a third relay finds nothing and re-arms the skip.
     assert_eq!(mgr.relay_signal(&state, &exprs, &stats), None);
-    let before = stats.counters.snapshot();
+    let before = counted(&mut mgr, &stats);
     assert_eq!(mgr.relay_signal(&state, &exprs, &stats), None);
-    assert_eq!(stats.counters.snapshot().since(&before).relay_skips, 1);
+    assert_eq!(counted(&mut mgr, &stats).since(&before).relay_skips, 1);
 }
 
 #[test]
@@ -468,9 +478,9 @@ fn expr_is_evaluated_once_per_relay() {
     mgr.register_waiter(count.eq(3).into_predicate(), &stats);
     mgr.register_waiter(count.eq(4).into_predicate(), &stats);
     mgr.register_waiter(count.ge(100).into_predicate(), &stats);
-    let before = stats.counters.snapshot();
+    let before = counted(&mut mgr, &stats);
     mgr.relay_signal(&St { count: 0 }, &exprs, &stats);
-    let diff = stats.counters.snapshot().since(&before);
+    let diff = counted(&mut mgr, &stats).since(&before);
     assert_eq!(diff.expr_evals, 1, "value cache collapses expr evals");
 }
 
@@ -544,10 +554,10 @@ fn sharded_skips_relay_on_unchanged_state() {
     mgr.register_waiter(handles[1].ne(0).into_predicate(), &stats);
     let state = StN::default();
     assert_eq!(mgr.relay_signal(&state, &exprs, &stats), None);
-    let before = stats.counters.snapshot();
+    let before = counted(&mut mgr, &stats);
     assert_eq!(mgr.relay_signal(&state, &exprs, &stats), None);
     assert_eq!(mgr.relay_signal(&state, &exprs, &stats), None);
-    let diff = stats.counters.snapshot().since(&before);
+    let diff = counted(&mut mgr, &stats).since(&before);
     assert_eq!(diff.relay_skips, 2);
     assert_eq!(diff.expr_evals, 0);
     assert_eq!(diff.pred_evals, 0);
@@ -574,15 +584,15 @@ fn sharded_confines_post_hit_probes_to_the_hit_shard() {
     // Relay 3 (unmutated): only the hit shard lacks a certificate. Its
     // only waiter was signaled (tags retired), so nothing is evaluated;
     // B's waiter in particular is NOT re-probed.
-    let before = stats.counters.snapshot();
+    let before = counted(&mut mgr, &stats);
     assert_eq!(mgr.relay_signal(&state, &exprs, &stats), None);
-    let diff = stats.counters.snapshot().since(&before);
+    let diff = counted(&mut mgr, &stats).since(&before);
     assert_eq!(diff.pred_evals, 0, "no candidate outside the hit shard");
     assert_eq!(diff.expr_evals, 0, "cached values suffice");
     // Relay 4: every shard certified again — skipped outright.
-    let before = stats.counters.snapshot();
+    let before = counted(&mut mgr, &stats);
     assert_eq!(mgr.relay_signal(&state, &exprs, &stats), None);
-    assert_eq!(stats.counters.snapshot().since(&before).relay_skips, 1);
+    assert_eq!(counted(&mut mgr, &stats).since(&before).relay_skips, 1);
 }
 
 #[test]
@@ -600,10 +610,10 @@ fn sharded_batches_independent_shard_signals() {
     let mut state = StN::default();
     state.values[a.id().index()] = 1;
     state.values[b.id().index()] = 1;
-    let before = stats.counters.snapshot();
+    let before = counted(&mut mgr, &stats);
     let hit = mgr.relay_signal(&state, &exprs, &stats);
     assert!(hit == Some(pid_a) || hit == Some(pid_b));
-    let diff = stats.counters.snapshot().since(&before);
+    let diff = counted(&mut mgr, &stats).since(&before);
     assert_eq!(diff.signals, 2, "both waiters signaled in one call");
     assert_eq!(diff.batched_signals, 1, "the second signal was batched");
     assert_eq!(mgr.waiting_count(), 0);
@@ -636,9 +646,9 @@ fn sharded_width_one_still_finds_leftover_true_waiters() {
 fn sharded_cross_shard_conjunction_lands_in_global_and_signals() {
     let (exprs, handles, mut mgr, stats) = shard_setup(MonitorConfig::preset(SignalMode::Sharded));
     let (a, b) = separated_pair(&handles, &mgr);
-    let before = stats.counters.snapshot();
+    let before = counted(&mut mgr, &stats);
     let pid = mgr.register_waiter(a.ge(1).and(b.ge(1)).into_predicate(), &stats);
-    let diff = stats.counters.snapshot().since(&before);
+    let diff = counted(&mut mgr, &stats).since(&before);
     assert_eq!(diff.cross_shard_preds, 1, "spanning conjunction is global");
     assert_eq!(mgr.relay_signal(&StN::default(), &exprs, &stats), None);
     mgr.note_mutation();
@@ -651,13 +661,13 @@ fn sharded_cross_shard_conjunction_lands_in_global_and_signals() {
 #[test]
 fn sharded_opaque_predicates_go_global_and_always_probe() {
     let (exprs, _, mut mgr, stats) = shard_setup(MonitorConfig::preset(SignalMode::Sharded));
-    let before = stats.counters.snapshot();
+    let before = counted(&mut mgr, &stats);
     let pid = mgr.register_waiter(
         Predicate::custom("odd", |s: &StN| s.values[0] % 2 == 1),
         &stats,
     );
     assert_eq!(
-        stats.counters.snapshot().since(&before).cross_shard_preds,
+        counted(&mut mgr, &stats).since(&before).cross_shard_preds,
         1,
         "opaque conjunctions are global"
     );
@@ -799,7 +809,7 @@ fn parked_routes_confined_and_spanning_predicates_to_their_gates() {
     let opaque = mgr.register_waiter(Predicate::custom("c", |s: &StN| s.values[2] > 0), &stats);
     assert_eq!(mgr.park_gate(opaque), mgr.router.global());
     assert_eq!(
-        stats.counters.snapshot().cross_shard_preds,
+        counted(&mut mgr, &stats).cross_shard_preds,
         2,
         "spanning and opaque conjunctions count as cross-shard"
     );
@@ -830,7 +840,7 @@ fn parked_relay_announces_wakes_for_affected_gates_only() {
     // Mutate only a's expression: the follow-up relay must announce a
     // wake for a's gate (and the always-woken global gate — empty, so
     // skipped) but not for b's.
-    let before = stats.counters.snapshot();
+    let before = counted(&mut mgr, &stats);
     let mut state = StN::default();
     state.values[a.id().index()] = 3;
     mgr.note_mutation();
@@ -854,7 +864,7 @@ fn parked_relay_announces_wakes_for_affected_gates_only() {
         crate::parking::ParkOutcome::TimedOut,
         "the unaffected gate's waiter sleeps on"
     );
-    let diff = stats.counters.snapshot().since(&before);
+    let diff = counted(&mut mgr, &stats).since(&before);
     assert_eq!(diff.unparks, 1);
     assert_eq!(diff.pred_evals, 0, "the signaler evaluated no predicate");
 }
@@ -868,11 +878,11 @@ fn parked_unmutated_relay_skips_and_wakes_no_one() {
     mgr.relay_signal(&state, &exprs, &stats);
     let mut wakes = Vec::new();
     mgr.drain_pending_wakes(&mut wakes);
-    let before = stats.counters.snapshot();
+    let before = counted(&mut mgr, &stats);
     mgr.relay_signal(&state, &exprs, &stats);
     mgr.drain_pending_wakes(&mut wakes);
     assert!(wakes.is_empty());
-    let diff = stats.counters.snapshot().since(&before);
+    let diff = counted(&mut mgr, &stats).since(&before);
     assert_eq!(diff.relay_skips, 1);
     assert_eq!(diff.expr_evals, 0);
 }
@@ -919,11 +929,11 @@ fn named_mutation_diff_evaluates_only_the_touched_expressions() {
     mgr.note_mutation();
     let state = StN::default();
     mgr.relay_signal(&state, &exprs, &stats);
-    let before = stats.counters.snapshot();
+    let before = counted(&mut mgr, &stats);
     // A named mutation touching only `a` carries `b` forward.
     mgr.note_mutation_named(&[a.id()]);
     mgr.relay_signal(&state, &exprs, &stats);
-    let diff = stats.counters.snapshot().since(&before);
+    let diff = counted(&mut mgr, &stats).since(&before);
     assert_eq!(diff.expr_evals, 1, "only the named dependency is evaluated");
     assert!(
         diff.unchanged_exprs >= 1,
@@ -944,12 +954,12 @@ fn blanket_mutation_poisons_a_named_window() {
     mgr.note_mutation();
     let state = StN::default();
     mgr.relay_signal(&state, &exprs, &stats);
-    let before = stats.counters.snapshot();
+    let before = counted(&mut mgr, &stats);
     // Named then blanket within one window: the diff must evaluate
     // everything (the blanket write may have touched any expression).
     mgr.note_mutation_named(&[a.id()]);
     mgr.note_mutation();
     mgr.relay_signal(&state, &exprs, &stats);
-    let diff = stats.counters.snapshot().since(&before);
+    let diff = counted(&mut mgr, &stats).since(&before);
     assert_eq!(diff.expr_evals, 2, "the blanket mutation re-evaluates all");
 }

@@ -72,13 +72,12 @@
 //! ```
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll};
 use std::time::{Duration, Instant};
 
 use autosynch_metrics::phase::Phase;
-use autosynch_predicate::cond::Cond;
 use autosynch_predicate::expr::{ExprHandle, ExprId, ExprTable};
 use autosynch_predicate::predicate::{IntoPredicate, Predicate};
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
@@ -141,6 +140,13 @@ pub struct ManagerCounts {
     pub combined_exits: u64,
 }
 
+/// A compiled waiting condition of a [`Monitor<S>`], produced by
+/// [`Monitor::compile`]: the shared analysis
+/// ([`autosynch_predicate::cond::Cond`]) plus the condition variable of
+/// the predicate-table entry it is pinned to, so a wait blocks on the
+/// handle it was given instead of fetching one from the table.
+pub type Cond<S> = autosynch_predicate::cond::Cond<S, Arc<Condvar>>;
+
 /// The monomorphized cell-drain hook installed by
 /// [`Monitor::enter_tracked`]: a plain function pointer, so the guard
 /// stays object-free and `Copy`-cheap for non-tracked entries.
@@ -166,11 +172,19 @@ unsafe impl<T> Send for SendPtr<T> {}
 struct Inner<S> {
     state: S,
     mgr: ConditionManager<S>,
+    // The occupant's private copy of the monitor's expression table,
+    // re-cloned from the registration-side master only when that grew
+    // (`Inner::sync_exprs`), so the relay and every predicate evaluation
+    // read it without a lock.
+    exprs: ExprTable<S>,
+    // This occupancy mutated the state since its last relay: some
+    // waiter's predicate may have become true, so it owes a relay.
     dirty: bool,
-    // This occupancy consumed a relay signal and owes a relay on exit
-    // even if it never mutates: the signal is the baton that keeps the
-    // relay chain (§4.2) alive, and absorbing it without passing it on
-    // would strand other waiters whose predicates are already true.
+    // This occupancy holds the baton — it consumed a relay signal (or a
+    // wakeup that may have been one) and has not relayed since. It owes a
+    // relay even if it never mutates: the signal is what keeps the relay
+    // chain (§4.2) alive, and absorbing it without passing it on would
+    // strand other waiters whose predicates are already true.
     signaled: bool,
     // A tracked occupancy touched `state_mut` and the dirty cells have
     // not yet been drained into the condition manager; the guard
@@ -178,6 +192,81 @@ struct Inner<S> {
     tracked_pending: bool,
     // Reusable touched-expression accumulator for tracked flushes.
     sink: MutationSink,
+}
+
+impl<S> Inner<S> {
+    /// Brings the occupant's copy of the expression table up to date.
+    /// Called immediately before each use, not once per occupancy: the
+    /// occupant itself may register an expression mid-occupancy (the
+    /// DSL interns while it holds the guard) and then evaluate a
+    /// predicate over it.
+    fn sync_exprs(&mut self, monitor: &Monitor<S>) {
+        // Pairs with the `Release` store in `Monitor::register_in`: a
+        // length seen here is backed by a master at least that long.
+        // The table only grows, so its length is its version.
+        if monitor.exprs_len.load(Ordering::Acquire) != self.exprs.len() {
+            self.exprs = monitor.exprs.read().clone();
+        }
+    }
+
+    /// Evaluates `pred` against the live state, counting the evaluation.
+    fn eval(&mut self, monitor: &Monitor<S>, pred: &Predicate<S>) -> bool {
+        self.sync_exprs(monitor);
+        self.mgr.tally.pred_evals += 1;
+        pred.eval(&self.state, &self.exprs)
+    }
+
+    /// Evaluates the predicate of entry `pid` against the live state,
+    /// counting the evaluation — a woken waiter's re-check.
+    fn eval_entry(&mut self, monitor: &Monitor<S>, pid: PredId) -> bool {
+        self.sync_exprs(monitor);
+        self.mgr.tally.pred_evals += 1;
+        self.mgr.entry_pred(pid).eval(&self.state, &self.exprs)
+    }
+
+    /// Whether this occupancy owes the relay signaling rule a run: it
+    /// mutated the state, it holds the baton, or mutations are pending
+    /// that no snapshot diff has seen. An occupancy that owes nothing
+    /// leaves the set of true waiters and the set of signaled threads
+    /// exactly as it found them, so whatever kept relay invariance
+    /// (Def. 4) before it entered still does (DESIGN.md, "When a relay
+    /// is owed").
+    fn owes_relay(&self) -> bool {
+        self.dirty || self.signaled || self.mgr.has_undiffed_mutation()
+    }
+
+    /// Runs the relay signaling rule (§4.2), which settles everything
+    /// [`Inner::owes_relay`] looks at.
+    fn relay(&mut self, monitor: &Monitor<S>) {
+        self.sync_exprs(monitor);
+        let Inner {
+            state, mgr, exprs, ..
+        } = self;
+        mgr.relay_signal(state, exprs, &monitor.stats);
+        self.dirty = false;
+        self.signaled = false;
+    }
+
+    /// Adds what the occupancy counted to the shared counters. Call
+    /// wherever the occupant is about to give up the monitor's exclusion
+    /// — before it blocks, before it leaves; the exclusion is what makes
+    /// the flush's plain load-and-store sound.
+    fn flush_tally(&mut self, monitor: &Monitor<S>) {
+        monitor.stats.counters.flush(&mut self.mgr.tally);
+    }
+
+    /// The relay rule at one of its two points — leaving the monitor,
+    /// going to wait — for an occupancy that may owe nothing. Under
+    /// `validate_relay` a skipped relay is audited against the live
+    /// state instead.
+    fn relay_if_owed(&mut self, monitor: &Monitor<S>) {
+        if self.owes_relay() {
+            self.relay(monitor);
+        } else if monitor.config.validates_relay() {
+            self.sync_exprs(monitor);
+            self.mgr.audit_skipped_relay(&self.state, &self.exprs);
+        }
+    }
 }
 
 /// An automatic-signal monitor protecting shared state `S`.
@@ -188,7 +277,12 @@ struct Inner<S> {
 /// briefly contends with running relays.
 pub struct Monitor<S> {
     inner: Mutex<Inner<S>>,
+    /// The registration-side master of the expression table. Occupants
+    /// never lock it on the hot path: each works on the copy in `Inner`.
     exprs: RwLock<ExprTable<S>>,
+    /// `exprs.len()`, stored under the write lock: what an occupant
+    /// compares its copy against before each use.
+    exprs_len: AtomicUsize,
     stats: Arc<MonitorStats>,
     config: MonitorConfig,
     owner: AtomicU64,
@@ -228,7 +322,7 @@ impl<S> std::fmt::Debug for Monitor<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Monitor")
             .field("config", &self.config)
-            .field("exprs", &self.exprs.read().len())
+            .field("exprs", &self.exprs_len.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -252,12 +346,14 @@ impl<S> Monitor<S> {
             inner: Mutex::new(Inner {
                 state,
                 mgr,
+                exprs: ExprTable::new(),
                 dirty: false,
                 signaled: false,
                 tracked_pending: false,
                 sink: MutationSink::new(),
             }),
             exprs: RwLock::new(ExprTable::new()),
+            exprs_len: AtomicUsize::new(0),
             stats: MonitorStats::new(config.timing_enabled()),
             config,
             owner: AtomicU64::new(0),
@@ -282,7 +378,19 @@ impl<S> Monitor<S> {
         name: impl Into<String>,
         f: impl Fn(&S) -> i64 + Send + Sync + 'static,
     ) -> ExprHandle<S> {
-        self.exprs.write().register(name, f)
+        self.register_in(|table| table.register(name, f))
+    }
+
+    /// Runs a registration against the master table and publishes its
+    /// new length to the occupants.
+    fn register_in(
+        &self,
+        register: impl FnOnce(&mut ExprTable<S>) -> ExprHandle<S>,
+    ) -> ExprHandle<S> {
+        let mut table = self.exprs.write();
+        let handle = register(&mut table);
+        self.exprs_len.store(table.len(), Ordering::Release);
+        handle
     }
 
     /// Finds a previously registered shared expression by name — useful
@@ -300,7 +408,7 @@ impl<S> Monitor<S> {
         name: impl Into<String>,
         f: impl Fn(&S) -> i64 + Send + Sync + 'static,
     ) -> ExprHandle<S> {
-        self.exprs.write().register_or_get(name, f)
+        self.register_in(|table| table.register_or_get(name, f))
     }
 
     /// Compiles a waiting condition: the whole predicate analysis (DNF
@@ -328,9 +436,9 @@ impl<S> Monitor<S> {
             "Monitor::compile called from inside the monitor"
         );
         let pred = cond.into_predicate();
-        let (slot, arc) = self.lock_slow().mgr.compile(pred);
+        let (slot, arc, condvar) = self.lock_slow().mgr.compile(pred);
         self.unlock_slow();
-        Cond::new(arc, slot, self.token)
+        Cond::new(arc, slot, self.token, condvar)
     }
 
     /// Binds the [`Tracked`](crate::tracked::Tracked) cell selected by
@@ -508,10 +616,24 @@ impl<S> Monitor<S> {
         );
         self.stats.counters.record_enter();
         let started = self.stats.timing_enabled().then(Instant::now);
-        let tctx = telemetry::context_enter(self.token);
         if self.config.fast_path_enabled() && self.word.try_acquire_fast() {
+            let tctx = telemetry::context_enter(self.token);
             return self.run_elided(me, started, tctx, drain, f);
         }
+        self.enter_slow(me, started, drain, f)
+    }
+
+    /// The slow-lane half of an enter, for a caller that has already
+    /// identified itself, ruled out re-entrancy, counted the enter and
+    /// found the elided lane shut.
+    fn enter_slow<R>(
+        &self,
+        me: u64,
+        started: Option<Instant>,
+        drain: Option<DrainFn<S>>,
+        f: impl FnOnce(&mut MonitorGuard<'_, S>) -> R,
+    ) -> R {
+        let tctx = telemetry::context_enter(self.token);
         let lock_timer = self.stats.phases.start(Phase::Lock);
         let mut inner = self.lock_slow();
         lock_timer.finish();
@@ -624,7 +746,8 @@ impl<S> Monitor<S> {
         // caller queues on the mutex; seen held while free, it publishes
         // below and `await_done` hands the op straight back.
         if self.owner.load(Ordering::Relaxed) == 0 {
-            return self.enter_inner(drain, |g| f(g.state_mut()));
+            self.stats.counters.record_enter();
+            return self.enter_slow(me, started, drain, |g| f(g.state_mut()));
         }
         // Contended: publish the occupancy and let the current holder
         // combine it into its own exit. The op writes its result into
@@ -960,14 +1083,22 @@ impl<S> MonitorGuard<'_, S> {
     }
 
     /// Shared access to the monitor state.
+    ///
+    /// Reading is all this is for. The monitor learns of a mutation only
+    /// through [`MonitorGuard::state_mut`],
+    /// [`MonitorGuard::state_mut_touching`] or a
+    /// [`Tracked`](crate::tracked::Tracked) cell, and an occupancy that
+    /// used none of them owes no relay: a write smuggled through interior
+    /// mutability behind this reference is invisible to every signaling
+    /// mode, and waiters it satisfies are not woken.
     pub fn state(&self) -> &S {
         &self.inner().state
     }
 
-    /// Mutable access to the monitor state. Marks the monitor dirty —
-    /// used by the `relay_on_clean_exit(false)` ablation and by the
-    /// change-driven mode, whose relay re-diffs the expression snapshot
-    /// only after a mutation. In a tracked occupancy
+    /// Mutable access to the monitor state. Marks the occupancy dirty:
+    /// it now owes a relay, at exit or before it next blocks, and the
+    /// change-driven relay re-diffs the expression snapshot. In a tracked
+    /// occupancy
     /// ([`Monitor::enter_tracked`]) the mutation's naming is deferred:
     /// the dirty cells are drained right before the next relay.
     pub fn state_mut(&mut self) -> &mut S {
@@ -1006,8 +1137,8 @@ impl<S> MonitorGuard<'_, S> {
     pub fn compile(&mut self, cond: impl IntoPredicate<S>) -> Cond<S> {
         let pred = cond.into_predicate();
         let token = self.monitor.token;
-        let (slot, arc) = self.inner_mut().mgr.compile(pred);
-        Cond::new(arc, slot, token)
+        let (slot, arc, condvar) = self.inner_mut().mgr.compile(pred);
+        Cond::new(arc, slot, token, condvar)
     }
 
     /// Drains pending tracked-cell dirt into the condition manager.
@@ -1079,21 +1210,15 @@ impl<S> MonitorGuard<'_, S> {
             "waited on a Cond compiled by a different monitor"
         );
         // Fig. 6: "if P is false ..." — the fast path avoids registration.
-        {
-            let exprs = monitor.exprs.read();
-            monitor.stats.counters.record_pred_eval();
-            let inner = self.inner();
-            if cond.predicate().eval(&inner.state, &exprs) {
-                return true;
-            }
+        let inner = self.inner_mut();
+        if inner.eval(monitor, cond.predicate()) {
+            return true;
         }
-        monitor.stats.counters.record_wait();
-        let pid = self.inner_mut().mgr.register_waiter_slot(
-            cond.slot(),
-            cond.predicate_arc(),
-            &monitor.stats,
-        );
-        self.wait_registered(pid, Some(cond.slot()), deadline)
+        inner.mgr.tally.waits += 1;
+        let pid = inner
+            .mgr
+            .register_waiter_slot(cond.slot(), cond.predicate_arc(), &monitor.stats);
+        self.wait_registered(pid, Some(cond), deadline)
     }
 
     /// The paper's `waituntil(P)` for **transient** conditions — ones
@@ -1146,41 +1271,34 @@ impl<S> MonitorGuard<'_, S> {
 
     /// Non-blocking check: whether `cond` holds right now. Never waits
     /// and never registers anything with the condition manager.
-    pub fn holds(&self, cond: impl IntoPredicate<S>) -> bool {
+    pub fn holds(&mut self, cond: impl IntoPredicate<S>) -> bool {
         let pred = cond.into_predicate();
-        let exprs = self.monitor.exprs.read();
-        self.monitor.stats.counters.record_pred_eval();
-        pred.eval(&self.inner().state, &exprs)
+        let monitor = self.monitor;
+        self.inner_mut().eval(monitor, &pred)
     }
 
     fn wait_until_predicate(&mut self, pred: Predicate<S>, deadline: Option<Instant>) -> bool {
         let monitor = self.monitor;
-        let stats = &monitor.stats;
-
         // Fig. 6: "if P is false ..." — the fast path avoids registration.
-        {
-            let exprs = monitor.exprs.read();
-            stats.counters.record_pred_eval();
-            let inner = self.inner();
-            if pred.eval(&inner.state, &exprs) {
-                return true;
-            }
+        let inner = self.inner_mut();
+        if inner.eval(monitor, &pred) {
+            return true;
         }
-
-        stats.counters.record_wait();
-        let pid = self.inner_mut().mgr.register_waiter(pred, stats);
+        inner.mgr.tally.waits += 1;
+        let pid = inner.mgr.register_waiter(pred, &monitor.stats);
         self.wait_registered(pid, None, deadline)
     }
 
     /// The shared wait loop: both the compiled (`wait`) and per-call
     /// (`wait_transient`) paths land here once the waiter is registered.
-    /// `slot` is the compiled-condition slot when the wait came through
-    /// a [`Cond`] — the `Routed` mode's bucket identity; per-call waits
-    /// have none and fall back to the broadcast bucket.
+    /// `cond` is the compiled condition when the wait came through one:
+    /// its slot is the `Routed` mode's bucket identity (per-call waits
+    /// have none and fall back to the broadcast bucket), and the condvar
+    /// modes block on the condition variable it carries.
     fn wait_registered(
         &mut self,
         pid: PredId,
-        slot: Option<u32>,
+        cond: Option<&Cond<S>>,
         deadline: Option<Instant>,
     ) -> bool {
         // Wait latency brackets the whole blocked span (registration to
@@ -1197,10 +1315,10 @@ impl<S> MonitorGuard<'_, S> {
         };
         telemetry::record(
             telemetry::EventKind::WaitRegistered,
-            slot.map_or(u64::MAX, u64::from),
+            cond.map_or(u64::MAX, |c| u64::from(c.slot())),
             wait_id << 1,
         );
-        let satisfied = self.wait_registered_inner(pid, slot, deadline, wait_id);
+        let satisfied = self.wait_registered_inner(pid, cond, deadline, wait_id);
         let elapsed_ns = started.map_or(0, |started| {
             let elapsed = started.elapsed();
             self.monitor.stats.wait.record(elapsed);
@@ -1217,7 +1335,7 @@ impl<S> MonitorGuard<'_, S> {
     fn wait_registered_inner(
         &mut self,
         pid: PredId,
-        slot: Option<u32>,
+        cond: Option<&Cond<S>>,
         deadline: Option<Instant>,
         wait_id: u64,
     ) -> bool {
@@ -1239,26 +1357,31 @@ impl<S> MonitorGuard<'_, S> {
             return self.wait_parked(pid, deadline, wait_id, stats);
         }
         if monitor.config.signal_mode() == SignalMode::Routed {
-            return self.wait_routed(pid, slot, deadline, wait_id, stats);
+            return self.wait_routed(pid, cond.map(Cond::slot), deadline, wait_id, stats);
         }
 
+        // A compiled condition carries its entry's condition variable; a
+        // transient wait clones it out of the entry, once.
+        let transient_cv;
+        let cv: &Condvar = match cond {
+            Some(cond) => cond.wake(),
+            None => {
+                transient_cv = self.inner().mgr.condvar(pid);
+                &transient_cv
+            }
+        };
+
         loop {
-            // "condMgr.relaySignal(); wait C" — pass the baton, then block.
-            let cv = {
-                let exprs = monitor.exprs.read();
-                let guard = self.inner.as_mut().expect("guard released");
-                let Inner {
-                    state,
-                    mgr,
-                    signaled,
-                    ..
-                } = &mut **guard;
-                mgr.relay_signal(state, &exprs, stats);
-                // Going to wait passes the baton (the relay call above), so
-                // any signal this occupancy had consumed is discharged.
-                *signaled = false;
-                mgr.condvar(pid)
-            };
+            // "condMgr.relaySignal(); wait C" — if this occupancy owes a
+            // relay, run it (which passes on any baton it holds), then
+            // block. A first pass that neither mutated nor was signaled
+            // owes nothing; every later pass holds the baton its futile
+            // wakeup absorbed.
+            {
+                let inner = self.inner_mut();
+                inner.relay_if_owed(monitor);
+                inner.flush_tally(monitor);
+            }
 
             monitor.owner.store(0, Ordering::Relaxed);
             // Condvar mode has no park slot, but the commit-to-block /
@@ -1281,45 +1404,32 @@ impl<S> MonitorGuard<'_, S> {
             monitor.owner.store(thread_id::current(), Ordering::Relaxed);
             stats.counters.record_wakeup();
 
-            let holds = {
-                let exprs = monitor.exprs.read();
-                let inner = self.inner();
-                stats.counters.record_pred_eval();
-                inner.mgr.entry_pred(pid).eval(&inner.state, &exprs)
-            };
+            let inner = self.inner_mut();
+            let holds = inner.eval_entry(monitor, pid);
             telemetry::record(telemetry::EventKind::SelfCheck, u64::from(holds), 0);
 
             if holds {
-                let inner = self.inner_mut();
                 inner.mgr.consume_signal(pid, stats);
-                inner.dirty = false;
                 inner.signaled = true;
                 return true;
             }
 
             if timed_out {
-                stats.counters.record_timeout();
-                let must_relay = {
-                    let inner = self.inner_mut();
-                    inner.mgr.on_timeout(pid, stats)
-                };
-                if must_relay {
+                inner.mgr.tally.timeouts += 1;
+                if inner.mgr.on_timeout(pid, stats) {
                     // We absorbed a signal meant for someone: pass it on.
-                    let exprs = monitor.exprs.read();
-                    let guard = self.inner.as_mut().expect("guard released");
-                    let Inner { state, mgr, .. } = &mut **guard;
-                    mgr.relay_signal(state, &exprs, stats);
+                    inner.relay(monitor);
                 }
-                self.inner_mut().dirty = false;
                 return false;
             }
 
             // Futile wakeup: another thread barged in and falsified the
-            // condition; rejoin the waiting pool.
-            stats.counters.record_futile_wakeup();
-            let inner = self.inner_mut();
+            // condition; rejoin the waiting pool. The wakeup's token is
+            // the baton now (a spurious wakeup cannot be told apart here
+            // and relays too, which is harmless).
+            inner.mgr.tally.futile_wakeups += 1;
             inner.mgr.mark_futile(pid, stats);
-            inner.dirty = false;
+            inner.signaled = true;
         }
     }
 
@@ -1365,18 +1475,14 @@ impl<S> MonitorGuard<'_, S> {
             // Pass the baton before blocking (§4.2's relay-on-wait): in
             // parked mode this publishes any mutations of this
             // occupancy and announces wakes for the affected gates.
+            // Unconditional, unlike the condvar loop's: here the relay is
+            // also what publishes the snapshot the lock-free self-checks
+            // below read, and the mode is slated for deletion.
             let wake_epoch = {
-                let exprs = monitor.exprs.read();
-                let guard = self.inner.as_mut().expect("guard released");
-                let Inner {
-                    state,
-                    mgr,
-                    signaled,
-                    ..
-                } = &mut **guard;
-                mgr.relay_signal(state, &exprs, stats);
-                *signaled = false;
-                mgr.drain_pending_wakes(&mut wake_buf)
+                let inner = self.inner_mut();
+                inner.relay(monitor);
+                inner.flush_tally(monitor);
+                inner.mgr.drain_pending_wakes(&mut wake_buf)
             };
             monitor.owner.store(0, Ordering::Relaxed);
             drop(self.inner.take());
@@ -1434,12 +1540,7 @@ impl<S> MonitorGuard<'_, S> {
             lock_timer.finish();
             monitor.owner.store(thread_id::current(), Ordering::Relaxed);
 
-            let holds = {
-                let exprs = monitor.exprs.read();
-                let inner = self.inner();
-                stats.counters.record_pred_eval();
-                inner.mgr.entry_pred(pid).eval(&inner.state, &exprs)
-            };
+            let holds = self.inner_mut().eval_entry(monitor, pid);
             if holds {
                 let inner = self.inner_mut();
                 inner.mgr.consume_signal(pid, stats);
@@ -1449,8 +1550,8 @@ impl<S> MonitorGuard<'_, S> {
             }
 
             if timed_out {
-                stats.counters.record_timeout();
                 let inner = self.inner_mut();
+                inner.mgr.tally.timeouts += 1;
                 let _ = inner.mgr.on_timeout(pid, stats);
                 inner.dirty = false;
                 return false;
@@ -1459,9 +1560,9 @@ impl<S> MonitorGuard<'_, S> {
             // Futile claim: another claimer barged in and falsified the
             // condition first. Re-enqueue under the monitor lock
             // (publishers cannot miss us) and go around.
-            stats.counters.record_futile_wakeup();
             {
                 let inner = self.inner_mut();
+                inner.mgr.tally.futile_wakeups += 1;
                 inner.mgr.mark_futile(pid, stats);
                 inner.dirty = false;
             }
@@ -1520,7 +1621,7 @@ impl<S> MonitorGuard<'_, S> {
             None => {
                 let (ticket, bucket, hit) = wake.enqueue_transient(gate, Arc::clone(&park), pid);
                 if hit {
-                    stats.counters.record_transient_cache_hit();
+                    self.inner_mut().mgr.tally.transient_cache_hits += 1;
                 }
                 (ticket, bucket)
             }
@@ -1540,18 +1641,14 @@ impl<S> MonitorGuard<'_, S> {
             // Pass the baton before blocking (§4.2's relay-on-wait):
             // publish this occupancy's mutations and announce the
             // routed wakes, delivered below outside the lock.
+            // Unconditional, unlike the condvar loop's: here the relay is
+            // also what publishes the snapshot the lock-free self-checks
+            // below read and what the routed wakes are drained after.
             let wake_epoch = {
-                let exprs = monitor.exprs.read();
-                let guard = self.inner.as_mut().expect("guard released");
-                let Inner {
-                    state,
-                    mgr,
-                    signaled,
-                    ..
-                } = &mut **guard;
-                mgr.relay_signal(state, &exprs, stats);
-                *signaled = false;
-                mgr.drain_routed_wakes(&mut wake_buf)
+                let inner = self.inner_mut();
+                inner.relay(monitor);
+                inner.flush_tally(monitor);
+                inner.mgr.drain_routed_wakes(&mut wake_buf)
             };
             monitor.owner.store(0, Ordering::Relaxed);
             drop(self.inner.take());
@@ -1647,12 +1744,7 @@ impl<S> MonitorGuard<'_, S> {
             lock_timer.finish();
             monitor.owner.store(thread_id::current(), Ordering::Relaxed);
 
-            let holds = {
-                let exprs = monitor.exprs.read();
-                let inner = self.inner();
-                stats.counters.record_pred_eval();
-                inner.mgr.entry_pred(pid).eval(&inner.state, &exprs)
-            };
+            let holds = self.inner_mut().eval_entry(monitor, pid);
             if holds {
                 let inner = self.inner_mut();
                 inner.mgr.consume_signal(pid, stats);
@@ -1674,8 +1766,8 @@ impl<S> MonitorGuard<'_, S> {
             }
 
             if timed_out {
-                stats.counters.record_timeout();
                 let inner = self.inner_mut();
+                inner.mgr.tally.timeouts += 1;
                 let _ = inner.mgr.on_timeout(pid, stats);
                 inner.dirty = false;
                 // The residual token (if any) was already forwarded
@@ -1696,9 +1788,9 @@ impl<S> MonitorGuard<'_, S> {
             // it runs right after the loop-top relay releases it — the
             // still-open in-flight claim keeps the bucket covered until
             // then.
-            stats.counters.record_futile_wakeup();
             let epoch_now = {
                 let inner = self.inner_mut();
+                inner.mgr.tally.futile_wakeups += 1;
                 inner.mgr.mark_futile(pid, stats);
                 inner.dirty = false;
                 inner.mgr.current_epoch()
@@ -1729,15 +1821,10 @@ impl<S> MonitorGuard<'_, S> {
         // Adopt any published flat-combining occupancies first: their
         // mutations fold into this exit's single relay pass below.
         self.monitor.combine_published(&mut inner);
-        // The relay signaling rule on exit (§4.2). Under the ablation
-        // config a clean occupancy may skip it, but only if it neither
-        // mutated the state nor consumed a signal — a consumed signal is
-        // the relay baton and must be passed on regardless.
-        if self.monitor.config.relays_on_clean_exit() || inner.dirty || inner.signaled {
-            let exprs = self.monitor.exprs.read();
-            let Inner { state, mgr, .. } = &mut *inner;
-            mgr.relay_signal(state, &exprs, &self.monitor.stats);
-        }
+        // The relay signaling rule on exit (§4.2), for an occupancy that
+        // owes it: one that mutated the state (itself or through an
+        // adopted op) or holds the baton.
+        inner.relay_if_owed(self.monitor);
         // Parked/Routed modes: the relay only announced its wakes;
         // perform the unparks after the lock is released so the token
         // handoffs never extend the signaler's critical section. The
@@ -1763,6 +1850,7 @@ impl<S> MonitorGuard<'_, S> {
                 wake_epoch = inner.mgr.drain_routed_wakes(&mut wakes);
                 !wakes.is_empty()
             });
+        inner.flush_tally(self.monitor);
         self.monitor.owner.store(0, Ordering::Relaxed);
         drop(inner);
         // Presence must outlive the mutex hold (a fast CAS sneaking in
@@ -1804,6 +1892,9 @@ impl<S> MonitorGuard<'_, S> {
                 inner.mgr.audit_fast_exit();
                 telemetry::record(telemetry::EventKind::FastExitAudit, 0, 0);
             }
+            // What an elided occupancy counts (predicate evaluations of
+            // `holds` and of a `wait` that found its condition true).
+            inner.flush_tally(monitor);
         }
         self.elided = false;
         // Clear ownership before opening the lane: a successor's fast
@@ -1887,11 +1978,11 @@ impl<'m, S> MonitorGuard<'m, S> {
         // registration-time evaluation below (and before the enclosing
         // exit's relay diffs).
         self.flush_tracked();
-        stats.counters.record_wait();
-        let pid =
-            self.inner_mut()
-                .mgr
-                .register_waiter_slot(cond.slot(), cond.predicate_arc(), stats);
+        let inner = self.inner_mut();
+        inner.mgr.tally.waits += 1;
+        let pid = inner
+            .mgr
+            .register_waiter_slot(cond.slot(), cond.predicate_arc(), stats);
         let (wake, pred, gate) = {
             let inner = self.inner();
             (
@@ -1915,12 +2006,7 @@ impl<'m, S> MonitorGuard<'m, S> {
         // for a relay that may owe this entry nothing (no mutation need
         // ever happen). A racing claimer is harmless — the claim
         // re-confirms under the lock and goes futile if beaten.
-        let holds_now = {
-            let exprs = monitor.exprs.read();
-            stats.counters.record_pred_eval();
-            cond.predicate().eval(&self.inner().state, &exprs)
-        };
-        if holds_now {
+        if self.inner_mut().eval(monitor, cond.predicate()) {
             let epoch = self.inner().mgr.current_epoch();
             wslot.self_arm(epoch);
         }
@@ -2078,11 +2164,7 @@ impl<'m, S> AsyncWaitCore<'m, S> {
             lock_timer.finish();
             monitor.owner.store(me, Ordering::Relaxed);
 
-            let holds = {
-                let exprs = monitor.exprs.read();
-                stats.counters.record_pred_eval();
-                inner.mgr.entry_pred(self.pid).eval(&inner.state, &exprs)
-            };
+            let holds = inner.eval_entry(monitor, self.pid);
             if holds {
                 inner.mgr.consume_signal(self.pid, stats);
                 // The baton rule, task-side: re-inject the token at the
@@ -2102,8 +2184,8 @@ impl<'m, S> AsyncWaitCore<'m, S> {
             // sync loop-top: relay the baton, release the lock, deliver
             // the announced wakes, and hand the token off outside the
             // lock (the still-open claim covers the bucket until then).
-            stats.counters.record_futile_wakeup();
             let epoch_now = {
+                inner.mgr.tally.futile_wakeups += 1;
                 inner.mgr.mark_futile(self.pid, stats);
                 inner.dirty = false;
                 inner.mgr.current_epoch()
@@ -2115,18 +2197,11 @@ impl<'m, S> AsyncWaitCore<'m, S> {
                 );
             self.wslot.observed(epoch_now.max(token.epoch()));
             token.raise(epoch_now);
-            let wake_epoch = {
-                let exprs = monitor.exprs.read();
-                let Inner {
-                    state,
-                    mgr,
-                    signaled,
-                    ..
-                } = &mut *inner;
-                mgr.relay_signal(state, &exprs, stats);
-                *signaled = false;
-                mgr.drain_routed_wakes(&mut self.wake_buf)
-            };
+            // Unconditional, like `wait_routed`'s loop-top relay and for
+            // the same reasons.
+            inner.relay(monitor);
+            inner.flush_tally(monitor);
+            let wake_epoch = inner.mgr.drain_routed_wakes(&mut self.wake_buf);
             monitor.owner.store(0, Ordering::Relaxed);
             drop(inner);
             monitor.deliver_routed_wakes(&self.wake_buf, wake_epoch);
@@ -2208,11 +2283,7 @@ impl<'m, S> AsyncWaitCore<'m, S> {
         lock_timer.finish();
         monitor.owner.store(thread_id::current(), Ordering::Relaxed);
 
-        let holds = {
-            let exprs = monitor.exprs.read();
-            stats.counters.record_pred_eval();
-            inner.mgr.entry_pred(self.pid).eval(&inner.state, &exprs)
-        };
+        let holds = inner.eval_entry(monitor, self.pid);
         if holds {
             inner.mgr.consume_signal(self.pid, stats);
             self.wake.end_claim(self.gate, self.bucket);
@@ -2220,10 +2291,11 @@ impl<'m, S> AsyncWaitCore<'m, S> {
             inner.signaled = false;
             return Some(self.finish_claim(inner));
         }
-        stats.counters.record_timeout();
+        inner.mgr.tally.timeouts += 1;
         let _ = inner.mgr.on_timeout(self.pid, stats);
         inner.dirty = false;
         self.wake.end_claim(self.gate, self.bucket);
+        inner.flush_tally(monitor);
         monitor.owner.store(0, Ordering::Relaxed);
         drop(inner);
         self.done = true;
@@ -2280,6 +2352,7 @@ impl<'m, S> AsyncWaitCore<'m, S> {
         let mut inner = monitor.inner.lock();
         let _ = inner.mgr.on_timeout(self.pid, stats);
         self.wake.end_claim(self.gate, self.bucket);
+        inner.flush_tally(monitor);
         drop(inner);
         if monitor.config.fast_path_enabled() {
             monitor.word.leave_slow();
@@ -3119,10 +3192,11 @@ mod tests {
         let positive = m.compile(v.ge(1));
         let m2 = Arc::clone(&m);
         let waiter = thread::spawn(move || m2.enter(|g| g.wait(&positive)));
-        thread::sleep(Duration::from_millis(20));
-        // Read-only occupancies relay on exit (the paper's rule), but the
-        // change-driven relay recognizes the unmutated state and skips
-        // the search outright.
+        while m.counts().waiting == 0 {
+            thread::yield_now();
+        }
+        // Read-only occupancies past a parked waiter owe no relay: none
+        // runs, so nothing is diffed or evaluated on their account.
         let before = m.stats_snapshot().counters;
         for _ in 0..10 {
             m.enter(|g| {
@@ -3130,15 +3204,10 @@ mod tests {
             });
         }
         let diff = m.stats_snapshot().counters.since(&before);
-        assert!(
-            diff.relay_skips >= 9,
-            "read-only relays should be skipped, got {} skips",
-            diff.relay_skips
+        assert_eq!(
+            (diff.relay_calls, diff.expr_evals, diff.pred_evals),
+            (0, 0, 0)
         );
-        // At most one diff can land in the window (the waiter's own
-        // registration relay when scheduling is slow); the read-only
-        // occupancies themselves evaluate nothing.
-        assert!(diff.expr_evals <= 1, "got {} expr evals", diff.expr_evals);
         m.with(|s| s.value = 1);
         waiter.join().unwrap();
     }
@@ -3220,6 +3289,140 @@ mod tests {
         thread::sleep(Duration::from_millis(20));
         m.with(|s| s.value += 1); // slow (the waiter holds presence)
         waiter.join().unwrap();
+        assert!(m.is_quiescent());
+    }
+
+    #[test]
+    fn a_clean_blocker_behind_an_elided_mutation_still_diffs() {
+        // The snapshot diff calls an expression unchanged when it reads
+        // what the previous diff read. A write over the elided lane is
+        // announced but not diffed, so a waiter that registers after it
+        // found its predicate false against a state no diff has seen: if
+        // it blocked without relaying, a later write back to the cached
+        // value would look like no change and the waiter would sleep
+        // through its wakeup. The armed validator turns that into a
+        // panic in the writer.
+        let m = Arc::new(Monitor::with_config(
+            Counter { value: 0 },
+            MonitorConfig::preset(SignalMode::ChangeDriven).validate_relay(true),
+        ));
+        let v = value_expr(&m);
+        let is_one = m.compile(v.eq(1));
+        let wait_for_one = |m: &Arc<Monitor<Counter>>| {
+            let (m2, cond) = (Arc::clone(m), is_one.clone());
+            let waiter = thread::spawn(move || m2.enter(|g| g.wait(&cond)));
+            while m.counts().waiting == 0 {
+                thread::yield_now();
+            }
+            waiter
+        };
+        // One diff caches `value == 1`, and its waiter leaves.
+        let waiter = wait_for_one(&m);
+        m.with(|s| s.value = 1);
+        waiter.join().unwrap();
+        // Elided: nobody waits, so nothing relays and nothing diffs.
+        let elided = m.stats_snapshot().counters.fast_path_enters;
+        m.with(|s| s.value = 7);
+        assert_eq!(m.stats_snapshot().counters.fast_path_enters, elided + 1);
+        // A clean blocker, then a write back to the cached value.
+        let waiter = wait_for_one(&m);
+        m.with(|s| s.value = 1);
+        waiter.join().unwrap();
+        assert!(m.is_quiescent());
+    }
+
+    /// Parks a waiter on `cond` by hand — registered with the manager,
+    /// no thread behind it — so a test decides when it resumes.
+    fn park_by_hand(m: &Monitor<Counter>, cond: &Cond<Counter>) -> PredId {
+        let mut inner = m.inner.lock();
+        inner
+            .mgr
+            .register_waiter_slot(cond.slot(), cond.predicate_arc(), &m.stats)
+    }
+
+    /// The signaled hand-parked waiter `pid` resumes, finds its predicate
+    /// true and leaves without writing: the wait loop's steps after a
+    /// wakeup, then a real guard's exit.
+    fn resume_and_leave(m: &Monitor<Counter>, pid: PredId) {
+        let mut inner = m.inner.lock();
+        assert!(inner.eval_entry(m, pid));
+        inner.mgr.consume_signal(pid, &m.stats);
+        inner.dirty = false;
+        inner.signaled = true;
+        drop(MonitorGuard {
+            monitor: m,
+            inner: Some(inner),
+            started: None,
+            elided: false,
+            drain: None,
+            tctx: None,
+        });
+    }
+
+    /// Two hand-parked waiters made true by one write at relay width 1,
+    /// so exactly one holds the baton; returns them in signaling order.
+    fn two_true_waiters_one_baton(
+        m: &Monitor<Counter>,
+        v: ExprHandle<Counter>,
+    ) -> (PredId, PredId) {
+        let first = park_by_hand(m, &m.compile(v.ge(5)));
+        let second = park_by_hand(m, &m.compile(v.ge(7)));
+        m.with(|s| s.value = 10);
+        let counts = m.counts();
+        assert_eq!((counts.signaled, counts.waiting), (1, 1));
+        assert_eq!(m.stats_snapshot().counters.signals, 1);
+        (first, second)
+    }
+
+    // The mutex lane only: the hand-parked waiters hold no presence on
+    // the monitor word, and the elided lane would skip every relay.
+    fn mutex_only_validated() -> MonitorConfig {
+        MonitorConfig::new().fast_path(false).validate_relay(true)
+    }
+
+    #[test]
+    fn clean_blocker_hands_out_no_second_baton() {
+        let m = Monitor::with_config(Counter { value: 0 }, mutex_only_validated());
+        let v = value_expr(&m);
+        let (first, second) = two_true_waiters_one_baton(&m, v);
+        let never = m.compile(v.ge(100));
+        // A third thread enters, reads, and blocks on a false condition.
+        // It owes no relay; were it to run one it would find the second
+        // waiter true and wake it for a slot the first has yet to leave.
+        m.enter(|g| {
+            assert_eq!(g.state().value, 10);
+            assert!(!g.wait_timeout(&never, Duration::from_millis(2)));
+        });
+        let counts = m.counts();
+        assert_eq!((counts.signaled, counts.waiting), (1, 1));
+        assert_eq!(m.stats_snapshot().counters.signals, 1);
+        // The first waiter leaves: the baton it holds is the second signal.
+        resume_and_leave(&m, first);
+        let counts = m.counts();
+        assert_eq!((counts.signaled, counts.waiting), (1, 0));
+        assert_eq!(m.stats_snapshot().counters.signals, 2);
+        resume_and_leave(&m, second);
+        assert!(m.is_quiescent());
+        assert_eq!(m.stats_snapshot().counters.signals, 2);
+    }
+
+    #[test]
+    fn a_blocker_that_wrote_still_relays() {
+        let m = Monitor::with_config(Counter { value: 0 }, mutex_only_validated());
+        let v = value_expr(&m);
+        let (first, second) = two_true_waiters_one_baton(&m, v);
+        let never = m.compile(v.ge(100));
+        // The mirror: the blocker called `state_mut` first, so it owes a
+        // relay before it blocks — which finds the second waiter.
+        m.enter(|g| {
+            g.state_mut().value = 11;
+            assert!(!g.wait_timeout(&never, Duration::from_millis(2)));
+        });
+        let counts = m.counts();
+        assert_eq!((counts.signaled, counts.waiting), (2, 0));
+        assert_eq!(m.stats_snapshot().counters.signals, 2);
+        resume_and_leave(&m, first);
+        resume_and_leave(&m, second);
         assert!(m.is_quiescent());
     }
 

@@ -67,6 +67,13 @@ impl MonitorStats {
     /// when an exact final reading *and* a zeroed restart are needed in
     /// one step, use [`MonitorStats::reset`], which drains instead of
     /// reading-then-zeroing.
+    ///
+    /// The counters an automatic-signal monitor owns (those of
+    /// [`OccupancyTally`](autosynch_metrics::counters::OccupancyTally))
+    /// reach the shared counters when an occupancy flushes its tally —
+    /// before each block and at exit — so a snapshot taken while a thread
+    /// is inside the monitor lags by what that occupancy has counted so
+    /// far; it is exact once the monitor is quiescent.
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
             counters: self.counters.snapshot(),
@@ -82,12 +89,24 @@ impl MonitorStats {
     ///
     /// Unlike `snapshot()` followed by a zeroing pass — which loses any
     /// event recorded between the read and the zero — every field is
-    /// drained by a single atomic swap, so each concurrent record lands
-    /// in exactly one of {the returned snapshot, the zeroed stats}. A
-    /// `snapshot().since(&earlier)` whose `earlier` straddles a
-    /// concurrent `reset` would mix pre- and post-reset readings;
+    /// drained by a single atomic swap, so each concurrent `fetch_add`
+    /// record lands in exactly one of {the returned snapshot, the zeroed
+    /// stats}. A `snapshot().since(&earlier)` whose `earlier` straddles
+    /// a concurrent `reset` would mix pre- and post-reset readings;
     /// prefer the drain pattern (`let final_ = stats.reset();`) at
     /// run boundaries.
+    ///
+    /// **The exactly-once guarantee does not cover the counters an
+    /// automatic-signal monitor owns** (those of
+    /// [`OccupancyTally`](autosynch_metrics::counters::OccupancyTally):
+    /// `waits`, `signals`, `pred_evals`, `relay_calls`, the tag counts,
+    /// …). An occupancy adds its tally with a load and a store under the
+    /// monitor's exclusion, which `reset` does not take: a drain that
+    /// lands between the two returns the old total and the store then
+    /// puts it back, so the events before the reset are counted on both
+    /// sides of it. Reset a monitor's stats while no thread is inside
+    /// it (every harness in this repo resets between runs, after the
+    /// workers have joined) and the reading is exact for every field.
     pub fn reset(&self) -> StatsSnapshot {
         StatsSnapshot {
             counters: self.counters.drain(),

@@ -193,14 +193,13 @@ fn wait_transient_timeout_zero_is_a_nonblocking_check() {
     assert!(monitor.enter(|g| g.wait_transient_timeout(value.ge(1), Duration::ZERO)));
 }
 
-/// Regression test: under `relay_on_clean_exit(false)`, an occupancy
-/// that consumed a relay signal but never mutated must still relay on
-/// exit. The consumed signal is the relay baton; absorbing it would
-/// strand the second waiter below even though its predicate is true.
+/// An occupancy that consumed a relay signal but never mutated must
+/// still relay on exit. The consumed signal is the relay baton;
+/// absorbing it would strand the second waiter below even though its
+/// predicate is true.
 #[test]
 fn signaled_reader_passes_the_baton_under_skip_clean_ablation() {
-    let config = MonitorConfig::new().relay_on_clean_exit(false);
-    let monitor = Arc::new(Monitor::with_config(Counter { value: 0 }, config));
+    let monitor = Arc::new(Monitor::new(Counter { value: 0 }));
     let value = monitor.register_expr("value", |s| s.value);
 
     // Two distinct threshold predicates, both satisfied by one write.
@@ -242,31 +241,25 @@ fn signaled_reader_passes_the_baton_under_skip_clean_ablation() {
     }
 }
 
-/// The complementary sanity check for the same ablation: an occupancy
-/// that neither mutated nor consumed a signal really does skip the
-/// relay call on exit.
+/// The complementary check: an occupancy that neither mutated nor
+/// consumed a signal owes no relay and runs none, while one that called
+/// `state_mut` does.
 #[test]
 fn unsignaled_reader_skips_relay_under_skip_clean_ablation() {
     // fast_path(false) pins the slow (mutex) lane: this test asserts
     // relay policy on slow-path exits, and an elided uncontended enter
     // would legitimately skip the relay either way.
-    let config = MonitorConfig::new()
-        .relay_on_clean_exit(false)
-        .fast_path(false);
-    let monitor = Monitor::with_config(Counter { value: 0 }, config);
-    let before = monitor.stats_snapshot().counters.relay_calls;
+    let monitor = Monitor::with_config(Counter { value: 0 }, MonitorConfig::new().fast_path(false));
+    let relay_calls = || monitor.stats_snapshot().counters.relay_calls;
+    let before = relay_calls();
     monitor.enter(|g| {
         assert_eq!(g.state().value, 0);
     });
-    assert_eq!(monitor.stats_snapshot().counters.relay_calls, before);
-
-    // Whereas the paper-default policy relays on every slow-path exit.
-    let paper = Monitor::with_config(Counter { value: 0 }, MonitorConfig::new().fast_path(false));
-    let before = paper.stats_snapshot().counters.relay_calls;
-    paper.enter(|g| {
-        assert_eq!(g.state().value, 0);
+    assert_eq!(relay_calls(), before);
+    monitor.enter(|g| {
+        g.state_mut().value = 1;
     });
-    assert_eq!(paper.stats_snapshot().counters.relay_calls, before + 1);
+    assert_eq!(relay_calls(), before + 1);
 }
 
 #[test]

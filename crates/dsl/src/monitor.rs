@@ -23,7 +23,7 @@ use std::time::Duration;
 use autosynch::config::MonitorConfig;
 use autosynch::monitor::{Monitor, MonitorGuard};
 use autosynch::stats::StatsSnapshot;
-use autosynch_predicate::cond::Cond;
+use autosynch::Cond;
 use autosynch_predicate::expr::{ExprHandle, ExprId};
 use autosynch_predicate::key::PredKey;
 use autosynch_predicate::predicate::Predicate;

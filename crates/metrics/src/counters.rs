@@ -2,8 +2,21 @@
 //!
 //! All four mechanisms of the paper (explicit, baseline, AutoSynch-T,
 //! AutoSynch) are instrumented with the same counter set so their numbers
-//! are directly comparable. Counters use relaxed atomics: they are
-//! monotonically increasing event tallies, never used for synchronization.
+//! are directly comparable. Counters are monotonically increasing event
+//! tallies read with relaxed loads, never used for synchronization.
+//!
+//! They are written in one of two ways. **Shared** counters are bumped
+//! from anywhere with a relaxed `fetch_add`. **Owned** counters are the
+//! ones an automatic-signal monitor only ever moves while it holds its
+//! own exclusion (the mutex or the elided lane): the occupancy counts
+//! them in an [`OccupancyTally`] of plain integers and
+//! [`SyncCounters::flush`] adds the lot with a load and a store each —
+//! the lock already serialises every writer, so a locked read-modify-write
+//! would buy nothing. The explicit-signal mechanisms have no tally; each
+//! owns its `SyncCounters` outright and bumps the same fields per event
+//! with `record_*`. What must never happen is one `SyncCounters` written
+//! both ways on one field: the flush's store would lose the `fetch_add`s
+//! that landed between its load and its store.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,10 +39,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// ```
 #[derive(Debug, Default)]
 pub struct SyncCounters {
+    // Declaration order is kept as it has always been, not grouped by
+    // kind: it decides which fields share a cache line, and the first
+    // line holds what the explicit-signal yardstick bumps on every op.
+    // Which fields are owned is the `owned_counters!` list below; every
+    // other field is shared.
     enters: AtomicU64,
     waits: AtomicU64,
     signals: AtomicU64,
     broadcasts: AtomicU64,
+    // Shared although the condvar wait loop counts it under the mutex:
+    // the parked and routed loops count it after `park` returns, without
+    // the monitor, and one field takes one kind of write.
     wakeups: AtomicU64,
     futile_wakeups: AtomicU64,
     timeouts: AtomicU64,
@@ -72,44 +93,98 @@ macro_rules! counter_methods {
     };
 }
 
-/// Bulk increments: one `fetch_add(n)` for `n` events, none for zero.
-macro_rules! bulk_counter_methods {
-    ($($(#[$doc:meta])* $record:ident => $field:ident),+ $(,)?) => {
-        $(
-            $(#[$doc])*
-            #[inline]
-            pub fn $record(&self, n: u64) {
-                if n != 0 {
-                    self.$field.fetch_add(n, Ordering::Relaxed);
-                }
+/// Declares the owned counters once: the fields of [`OccupancyTally`] and
+/// the flush that adds them to the [`SyncCounters`] fields of the same
+/// names.
+macro_rules! owned_counters {
+    ($($(#[$doc:meta])* $field:ident),+ $(,)?) => {
+        /// What one monitor occupancy counts, in plain integers.
+        ///
+        /// Everything here happens under the monitor's exclusion, often
+        /// many times per occupancy (a relay examines a candidate per
+        /// waiter); the occupancy counts into this struct, which lives
+        /// behind the same exclusion, and [`SyncCounters::flush`] adds it
+        /// to the shared counters where the exclusion ends — before each
+        /// block and at exit.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct OccupancyTally {
+            $($(#[$doc])* pub $field: u64,)+
+        }
+
+        impl SyncCounters {
+            /// Adds everything `tally` counted and zeroes it: a load and
+            /// a store per field that moved, none for one that did not.
+            ///
+            /// The caller must hold the exclusion that serialises every
+            /// other flush into `self`; readers need none.
+            pub fn flush(&self, tally: &mut OccupancyTally) {
+                $(
+                    if tally.$field != 0 {
+                        let total = self.$field.load(Ordering::Relaxed) + tally.$field;
+                        self.$field.store(total, Ordering::Relaxed);
+                        tally.$field = 0;
+                    }
+                )+
             }
-        )+
+        }
     };
 }
 
-/// What one relay pass counts, in plain integers.
-///
-/// The relay runs under the monitor lock and may examine many candidates
-/// per pass; bumping a shared atomic for each would cost one locked
-/// read-modify-write per candidate on a cache line every other thread's
-/// enter also writes. The pass counts here instead, and
-/// [`SyncCounters::add_tally`] adds the lot with one `fetch_add` per
-/// counter that moved. The fields mirror the `record_*` methods of the
-/// same names.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub struct RelayTally {
-    pub relay_calls: u64,
-    pub relay_hits: u64,
-    pub relay_skips: u64,
-    pub signals: u64,
-    pub pred_evals: u64,
-    pub expr_evals: u64,
-    pub probes_skipped: u64,
-    pub unchanged_exprs: u64,
-    pub batched_signals: u64,
-    pub eq_routed_wakes: u64,
-    pub ladder_skips: u64,
+owned_counters! {
+    /// A thread blocked in `waituntil` / `await` (one per actual block,
+    /// not per re-check).
+    waits,
+    /// The runtime issued a single-thread signal (`notify_one`).
+    signals,
+    /// A wakeup whose predicate was still false, forcing the thread
+    /// back to sleep (the "redundant context switches" of §3).
+    futile_wakeups,
+    /// A timed wait elapsed without a signal.
+    timeouts,
+    /// One waiting-condition evaluation (a conjunction or whole
+    /// predicate, depending on mechanism).
+    pred_evals,
+    /// One shared-expression evaluation during relay signaling.
+    expr_evals,
+    /// A tag was inserted into an index (hash table or heap).
+    tag_inserts,
+    /// A tag was removed from an index.
+    tag_removes,
+    /// One execution of the relay signaling rule.
+    relay_calls,
+    /// A relay call that found and signaled a thread.
+    relay_hits,
+    /// A relay call the change-driven mode skipped outright: the
+    /// state was unmutated since the last relay and every waiting
+    /// conjunction was already known false.
+    relay_skips,
+    /// A tag-index candidate the change-driven probe skipped because
+    /// none of its dependencies changed since the last relay.
+    probes_skipped,
+    /// A snapshot-diff expression evaluation whose value matched the
+    /// cached snapshot (no dependents need probing on its account).
+    unchanged_exprs,
+    /// A conjunction whose dependency set spans several shards (or is
+    /// opaque) and therefore routed to the global shard (sharded mode).
+    cross_shard_preds,
+    /// A signal issued beyond the first within a single batched relay
+    /// pass (sharded mode with `relay_width > 1`).
+    batched_signals,
+    /// A wake the routed relay resolved through the equivalence
+    /// route: the published value of an eq-tagged expression named
+    /// the single slot whose waiters can have flipped, so exactly
+    /// one bucket was swept instead of the whole gate.
+    eq_routed_wakes,
+    /// A threshold-ladder rung the routed relay proved false at the
+    /// published value and skipped without waking: the rung's key
+    /// sits above (min side) or below (max side) the fresh value,
+    /// so its waiters' predicates cannot have become true.
+    ladder_skips,
+    /// A transient (uncompiled) wait whose interned predicate
+    /// already had a graduated per-predicate bucket in the gate's
+    /// LRU: the waiter joined the targeted token-sweep discipline
+    /// instead of the per-gate broadcast bucket.
+    transient_cache_hits,
 }
 
 impl SyncCounters {
@@ -118,54 +193,35 @@ impl SyncCounters {
         Self::default()
     }
 
+    // Per-event increments of owned counters, for the explicit-signal
+    // mechanisms (explicit, baseline, Kessels): they keep no occupancy
+    // tally, and never share a `SyncCounters` with a monitor that does.
+    // `tests/owned_counters.rs` fails if the automatic monitor's sources
+    // ever name one of them.
+    counter_methods! {
+        /// A thread blocked (see [`OccupancyTally::waits`]).
+        record_wait => waits,
+        /// A `notify_one` (see [`OccupancyTally::signals`]).
+        record_signal => signals,
+        /// A futile wakeup (see [`OccupancyTally::futile_wakeups`]).
+        record_futile_wakeup => futile_wakeups,
+        /// A timed wait elapsed (see [`OccupancyTally::timeouts`]).
+        record_timeout => timeouts,
+        /// One condition evaluation (see [`OccupancyTally::pred_evals`]).
+        record_pred_eval => pred_evals,
+        /// One relay execution (see [`OccupancyTally::relay_calls`]).
+        record_relay_call => relay_calls,
+    }
+
     counter_methods! {
         /// A thread entered the monitor (acquired the lock from outside).
         record_enter => enters,
-        /// A thread blocked in `waituntil` / `await` (one per actual block,
-        /// not per re-check).
-        record_wait => waits,
-        /// The runtime issued a single-thread signal (`notify_one`).
-        record_signal => signals,
         /// The runtime issued a broadcast (`notify_all` / `signalAll`).
         /// AutoSynch never increments this — that is the paper's claim.
         record_broadcast => broadcasts,
-        /// A blocked thread returned from `Condvar::wait`. This is the
-        /// context-switch proxy used for Fig. 15.
+        /// A blocked thread returned from `Condvar::wait` or `park`. This
+        /// is the context-switch proxy used for Fig. 15.
         record_wakeup => wakeups,
-        /// A wakeup whose predicate was still false, forcing the thread
-        /// back to sleep (the "redundant context switches" of §3).
-        record_futile_wakeup => futile_wakeups,
-        /// A timed wait elapsed without a signal.
-        record_timeout => timeouts,
-        /// One waiting-condition evaluation (a conjunction or whole
-        /// predicate, depending on mechanism).
-        record_pred_eval => pred_evals,
-        /// One shared-expression evaluation during relay signaling.
-        record_expr_eval => expr_evals,
-        /// A tag was inserted into an index (hash table or heap).
-        record_tag_insert => tag_inserts,
-        /// A tag was removed from an index.
-        record_tag_remove => tag_removes,
-        /// One execution of the relay signaling rule.
-        record_relay_call => relay_calls,
-        /// A relay call that found and signaled a thread.
-        record_relay_hit => relay_hits,
-        /// A relay call the change-driven mode skipped outright: the
-        /// state was unmutated since the last relay and every waiting
-        /// conjunction was already known false.
-        record_relay_skip => relay_skips,
-        /// A tag-index candidate the change-driven probe skipped because
-        /// none of its dependencies changed since the last relay.
-        record_probe_skipped => probes_skipped,
-        /// A snapshot-diff expression evaluation whose value matched the
-        /// cached snapshot (no dependents need probing on its account).
-        record_unchanged_expr => unchanged_exprs,
-        /// A conjunction whose dependency set spans several shards (or is
-        /// opaque) and therefore routed to the global shard (sharded mode).
-        record_cross_shard_pred => cross_shard_preds,
-        /// A signal issued beyond the first within a single batched relay
-        /// pass (sharded mode with `relay_width > 1`).
-        record_batched_signal => batched_signals,
         /// A lock-free snapshot-ring read whose seqlock validation failed
         /// and had to retry (a writer published mid-read).
         record_ring_retry => ring_retries,
@@ -196,25 +252,10 @@ impl SyncCounters {
         /// passed the wake on to the next unobserved waiter of its
         /// bucket, or a claimer re-injected the baton at monitor exit.
         record_token_forward => token_forwards,
-        /// A wake the routed relay resolved through the equivalence
-        /// route: the published value of an eq-tagged expression named
-        /// the single slot whose waiters can have flipped, so exactly
-        /// one bucket was swept instead of the whole gate.
-        record_eq_routed_wake => eq_routed_wakes,
-        /// A threshold-ladder rung the routed relay proved false at the
-        /// published value and skipped without waking: the rung's key
-        /// sits above (min side) or below (max side) the fresh value,
-        /// so its waiters' predicates cannot have become true.
-        record_ladder_skip => ladder_skips,
         /// A token sweep that resumed from its bucket's saved cursor
         /// instead of rescanning from the FIFO head — the already-swept
         /// prefix of the bucket was skipped in O(1).
         record_cursor_resume => cursor_resumes,
-        /// A transient (uncompiled) wait whose interned predicate
-        /// already had a graduated per-predicate bucket in the gate's
-        /// LRU: the waiter joined the targeted token-sweep discipline
-        /// instead of the per-gate broadcast bucket.
-        record_transient_cache_hit => transient_cache_hits,
         /// An enter that took the CAS lock-elision lane: the monitor
         /// word was fully quiescent (no occupant, no waiter, no pending
         /// relay work), so the occupancy ran without the mutex.
@@ -229,43 +270,12 @@ impl SyncCounters {
         record_fc_publish => fc_publishes,
     }
 
-    bulk_counter_methods! {
-        /// Adds `n` predicate evaluations at once.
-        record_pred_evals => pred_evals,
-        /// Adds `n` unparks at once (broadcast deliveries count their
-        /// whole gate in one add).
-        record_unparks => unparks,
-        /// Adds `n` ladder skips at once (one relay probe prunes a whole
-        /// suffix of provably-false rungs in one range count).
-        record_ladder_skips => ladder_skips,
-        /// Adds `n` tag inserts at once (a predicate activates the tags
-        /// of all its conjunctions together).
-        record_tag_inserts => tag_inserts,
-        /// Adds `n` tag removes at once.
-        record_tag_removes => tag_removes,
-        /// Adds `n` global-shard routings at once.
-        record_cross_shard_preds => cross_shard_preds,
-    }
-
-    /// Adds everything one relay pass counted: one `fetch_add` per
-    /// non-zero field of `tally`.
-    pub fn add_tally(&self, tally: &RelayTally) {
-        for (counter, n) in [
-            (&self.relay_calls, tally.relay_calls),
-            (&self.relay_hits, tally.relay_hits),
-            (&self.relay_skips, tally.relay_skips),
-            (&self.signals, tally.signals),
-            (&self.pred_evals, tally.pred_evals),
-            (&self.expr_evals, tally.expr_evals),
-            (&self.probes_skipped, tally.probes_skipped),
-            (&self.unchanged_exprs, tally.unchanged_exprs),
-            (&self.batched_signals, tally.batched_signals),
-            (&self.eq_routed_wakes, tally.eq_routed_wakes),
-            (&self.ladder_skips, tally.ladder_skips),
-        ] {
-            if n != 0 {
-                counter.fetch_add(n, Ordering::Relaxed);
-            }
+    /// Adds `n` unparks at once (broadcast deliveries count their whole
+    /// gate in one add), none for zero.
+    #[inline]
+    pub fn record_unparks(&self, n: u64) {
+        if n != 0 {
+            self.unparks.fetch_add(n, Ordering::Relaxed);
         }
     }
 
@@ -313,6 +323,9 @@ impl SyncCounters {
     /// exactly one of {returned snapshot, post-drain counters}; the
     /// snapshot is per-field atomic, not globally consistent across
     /// fields (see `MonitorStats::reset` for the contract this backs).
+    /// A [`SyncCounters::flush`] is a load and a store, not one atomic
+    /// step: a drain that lands between them is overwritten, so drain the
+    /// owned counters of a tallying monitor only while it is quiescent.
     pub fn drain(&self) -> CounterSnapshot {
         CounterSnapshot {
             enters: self.enters.swap(0, Ordering::Relaxed),
@@ -538,127 +551,101 @@ mod tests {
         c.record_futile_wakeup();
         c.record_timeout();
         c.record_pred_eval();
-        c.record_expr_eval();
-        c.record_tag_insert();
-        c.record_tag_remove();
         c.record_relay_call();
-        c.record_relay_hit();
-        c.record_relay_skip();
-        c.record_probe_skipped();
-        c.record_unchanged_expr();
-        c.record_cross_shard_pred();
-        c.record_batched_signal();
         c.record_ring_retry();
         c.record_unpark();
+        c.record_unparks(0);
+        c.record_unparks(3);
         c.record_waiter_self_check();
         c.record_false_wakeup();
         c.record_named_mutation();
         c.record_routed_unpark();
         c.record_token_forward();
-        c.record_eq_routed_wake();
-        c.record_ladder_skip();
         c.record_cursor_resume();
-        c.record_transient_cache_hit();
         c.record_fast_path_enter();
         c.record_combined_exit();
         c.record_fc_publish();
-        let s = c.snapshot();
-        assert_eq!(s.enters, 2);
-        assert_eq!(s.waits, 1);
-        assert_eq!(s.signals, 1);
-        assert_eq!(s.broadcasts, 1);
-        assert_eq!(s.wakeups, 1);
-        assert_eq!(s.futile_wakeups, 1);
-        assert_eq!(s.timeouts, 1);
-        assert_eq!(s.pred_evals, 1);
-        assert_eq!(s.expr_evals, 1);
-        assert_eq!(s.tag_inserts, 1);
-        assert_eq!(s.tag_removes, 1);
-        assert_eq!(s.relay_calls, 1);
-        assert_eq!(s.relay_hits, 1);
-        assert_eq!(s.relay_skips, 1);
-        assert_eq!(s.probes_skipped, 1);
-        assert_eq!(s.unchanged_exprs, 1);
-        assert_eq!(s.cross_shard_preds, 1);
-        assert_eq!(s.batched_signals, 1);
-        assert_eq!(s.ring_retries, 1);
-        assert_eq!(s.unparks, 1);
-        assert_eq!(s.waiter_self_checks, 1);
-        assert_eq!(s.false_wakeups, 1);
-        assert_eq!(s.named_mutations, 1);
-        assert_eq!(s.routed_unparks, 1);
-        assert_eq!(s.token_forwards, 1);
-        assert_eq!(s.eq_routed_wakes, 1);
-        assert_eq!(s.ladder_skips, 1);
-        assert_eq!(s.cursor_resumes, 1);
-        assert_eq!(s.transient_cache_hits, 1);
-        assert_eq!(s.fast_path_enters, 1);
-        assert_eq!(s.combined_exits, 1);
-        assert_eq!(s.fc_publishes, 1);
-    }
-
-    #[test]
-    fn bulk_ladder_skips() {
-        let c = SyncCounters::new();
-        c.record_ladder_skips(9);
-        assert_eq!(c.snapshot().ladder_skips, 9);
-    }
-
-    #[test]
-    fn bulk_tag_counts_and_cross_shard() {
-        let c = SyncCounters::new();
-        c.record_tag_inserts(3);
-        c.record_tag_removes(2);
-        c.record_cross_shard_preds(0);
-        c.record_cross_shard_preds(4);
-        let s = c.snapshot();
-        assert_eq!(
-            (s.tag_inserts, s.tag_removes, s.cross_shard_preds),
-            (3, 2, 4)
-        );
-    }
-
-    #[test]
-    fn a_tally_adds_to_exactly_its_own_counters() {
-        let c = SyncCounters::new();
-        c.record_pred_eval();
-        let tally = RelayTally {
-            relay_calls: 1,
-            relay_hits: 2,
-            relay_skips: 3,
-            signals: 4,
-            pred_evals: 5,
-            expr_evals: 6,
-            probes_skipped: 7,
-            unchanged_exprs: 8,
-            batched_signals: 9,
-            eq_routed_wakes: 10,
-            ladder_skips: 11,
-        };
-        c.add_tally(&tally);
-        c.add_tally(&RelayTally::default());
         let expected = CounterSnapshot {
+            enters: 2,
+            waits: 1,
+            signals: 1,
+            broadcasts: 1,
+            wakeups: 1,
+            futile_wakeups: 1,
+            timeouts: 1,
+            pred_evals: 1,
             relay_calls: 1,
-            relay_hits: 2,
-            relay_skips: 3,
-            signals: 4,
-            pred_evals: 6,
-            expr_evals: 6,
-            probes_skipped: 7,
-            unchanged_exprs: 8,
-            batched_signals: 9,
-            eq_routed_wakes: 10,
-            ladder_skips: 11,
+            ring_retries: 1,
+            unparks: 4,
+            waiter_self_checks: 1,
+            false_wakeups: 1,
+            named_mutations: 1,
+            routed_unparks: 1,
+            token_forwards: 1,
+            cursor_resumes: 1,
+            fast_path_enters: 1,
+            combined_exits: 1,
+            fc_publishes: 1,
             ..CounterSnapshot::default()
         };
         assert_eq!(c.snapshot(), expected);
     }
 
     #[test]
-    fn bulk_pred_evals() {
+    fn a_tally_adds_to_exactly_its_own_counters() {
         let c = SyncCounters::new();
-        c.record_pred_evals(17);
-        assert_eq!(c.snapshot().pred_evals, 17);
+        c.record_pred_eval();
+        c.record_wakeup();
+        let mut tally = OccupancyTally {
+            waits: 1,
+            signals: 2,
+            futile_wakeups: 3,
+            timeouts: 4,
+            pred_evals: 5,
+            expr_evals: 6,
+            tag_inserts: 7,
+            tag_removes: 8,
+            relay_calls: 9,
+            relay_hits: 10,
+            relay_skips: 11,
+            probes_skipped: 12,
+            unchanged_exprs: 13,
+            cross_shard_preds: 14,
+            batched_signals: 15,
+            eq_routed_wakes: 16,
+            ladder_skips: 17,
+            transient_cache_hits: 18,
+        };
+        c.flush(&mut tally);
+        assert_eq!(
+            tally,
+            OccupancyTally::default(),
+            "a flush empties the tally"
+        );
+        c.flush(&mut tally);
+        let expected = CounterSnapshot {
+            waits: 1,
+            signals: 2,
+            wakeups: 1,
+            futile_wakeups: 3,
+            timeouts: 4,
+            pred_evals: 6,
+            expr_evals: 6,
+            tag_inserts: 7,
+            tag_removes: 8,
+            relay_calls: 9,
+            relay_hits: 10,
+            relay_skips: 11,
+            probes_skipped: 12,
+            unchanged_exprs: 13,
+            cross_shard_preds: 14,
+            batched_signals: 15,
+            eq_routed_wakes: 16,
+            ladder_skips: 17,
+            transient_cache_hits: 18,
+            ..CounterSnapshot::default()
+        };
+        assert_eq!(c.snapshot(), expected);
     }
 
     #[test]

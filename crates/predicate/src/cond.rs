@@ -36,6 +36,8 @@ use crate::predicate::Predicate;
 /// an `Arc` bump) and reusable from any thread. The `slot` indexes the
 /// owning table; the `owner` token identifies the monitor that compiled
 /// it, so waits can reject conditions compiled by a different monitor.
+/// `W` is the compiling runtime's wake handle (see [`Cond::wake`]); this
+/// crate never looks inside it.
 ///
 /// # Examples
 ///
@@ -53,18 +55,32 @@ use crate::predicate::Predicate;
 /// let (slot_b, _) = table.intern(Predicate::try_from_expr(count.ge(3)).unwrap());
 /// assert_eq!(slot_a, slot_b, "syntax-equivalent conditions share a slot");
 /// ```
-pub struct Cond<S> {
+pub struct Cond<S, W = ()> {
     pred: Arc<Predicate<S>>,
     slot: u32,
     owner: u64,
+    wake: W,
 }
 
-impl<S> Cond<S> {
+impl<S, W> Cond<S, W> {
     /// Packages a compiled predicate. Intended for the monitor runtime;
     /// `slot` must come from the owning [`CondTable`] and `owner` from
     /// the compiling monitor, or waits on the handle will be rejected.
-    pub fn new(pred: Arc<Predicate<S>>, slot: u32, owner: u64) -> Self {
-        Cond { pred, slot, owner }
+    /// `wake` is whatever the runtime wants at hand on every wait
+    /// without a table lookup — the monitor stores the condition
+    /// variable its waiters block on.
+    pub fn new(pred: Arc<Predicate<S>>, slot: u32, owner: u64, wake: W) -> Self {
+        Cond {
+            pred,
+            slot,
+            owner,
+            wake,
+        }
+    }
+
+    /// The runtime's per-condition wake handle.
+    pub fn wake(&self) -> &W {
+        &self.wake
     }
 
     /// The compiled predicate (DNF + tags + deps + key, all shared).
@@ -97,17 +113,18 @@ impl<S> Cond<S> {
     }
 }
 
-impl<S> Clone for Cond<S> {
+impl<S, W: Clone> Clone for Cond<S, W> {
     fn clone(&self) -> Self {
         Cond {
             pred: Arc::clone(&self.pred),
             slot: self.slot,
             owner: self.owner,
+            wake: self.wake.clone(),
         }
     }
 }
 
-impl<S> fmt::Debug for Cond<S> {
+impl<S, W> fmt::Debug for Cond<S, W> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Cond")
             .field("slot", &self.slot)
@@ -116,7 +133,7 @@ impl<S> fmt::Debug for Cond<S> {
     }
 }
 
-impl<S> fmt::Display for Cond<S> {
+impl<S, W> fmt::Display for Cond<S, W> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.pred)
     }
@@ -274,10 +291,10 @@ mod tests {
         let count = count();
         let mut table = CondTable::new();
         let (slot, arc) = table.intern(Predicate::try_from_expr(count.eq(9)).unwrap());
-        let cond = Cond::new(arc, slot, 1);
+        let cond = Cond::new(arc, slot, 1, ());
         assert_eq!(cond.eq_route(), Some((count.id(), 9)));
         let (slot, arc) = table.intern(Predicate::try_from_expr(count.ge(9)).unwrap());
-        assert_eq!(Cond::new(arc, slot, 1).eq_route(), None);
+        assert_eq!(Cond::new(arc, slot, 1, ()).eq_route(), None);
     }
 
     #[test]
@@ -285,7 +302,7 @@ mod tests {
         let count = count();
         let mut table = CondTable::new();
         let (slot, arc) = table.intern(Predicate::try_from_expr(count.ge(1)).unwrap());
-        let cond = Cond::new(arc, slot, 7);
+        let cond = Cond::new(arc, slot, 7, ());
         assert_eq!(cond.slot(), slot);
         assert_eq!(cond.owner(), 7);
         assert_eq!(cond.clone().to_string(), "e0 >= 1");

@@ -84,6 +84,22 @@ impl<S> fmt::Debug for ExprTable<S> {
     }
 }
 
+// Manual impl: `S` need not be `Clone` — a copy shares the closures.
+impl<S> Clone for ExprTable<S> {
+    fn clone(&self) -> Self {
+        ExprTable {
+            entries: self
+                .entries
+                .iter()
+                .map(|e| ExprEntry {
+                    name: e.name.clone(),
+                    f: Arc::clone(&e.f),
+                })
+                .collect(),
+        }
+    }
+}
+
 impl<S> Default for ExprTable<S> {
     fn default() -> Self {
         Self::new()
@@ -297,6 +313,17 @@ mod tests {
         assert_eq!(t.len(), 1);
         // The first closure won.
         assert_eq!(t.eval(a.id(), &State { x: 5, y: 0 }), 5);
+    }
+
+    #[test]
+    fn a_clone_shares_the_closures_and_not_later_registrations() {
+        let mut t = ExprTable::new();
+        let x = t.register("x", |s: &State| s.x);
+        let copy = t.clone();
+        t.register("y", |s: &State| s.y);
+        assert_eq!(copy.len(), 1);
+        assert_eq!(copy.eval(x.id(), &State { x: 9, y: 0 }), 9);
+        assert_eq!(copy.lookup("x"), Some(x));
     }
 
     #[test]

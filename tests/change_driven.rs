@@ -177,9 +177,26 @@ fn change_driven_readers_writers_problem_balances() {
 
 #[test]
 fn change_driven_beats_tagged_on_fig14_eval_counts() {
-    // The ISSUE's acceptance criterion: on the parameterized bounded
-    // buffer, `autosynch_cd` does strictly less evaluation work than the
-    // default tagged mode over the same completed workload.
+    // On the parameterized bounded buffer `autosynch_cd` does strictly
+    // less evaluation work than the default tagged mode over the same
+    // completed workload.
+    //
+    // Where the edge comes from, now that neither mode runs a relay for
+    // an occupancy that owes none (DESIGN.md "When a relay is owed"): a
+    // relay owed by a mutation costs both modes one evaluation per live
+    // expression, and a relay owed only by the baton — a futile wakeup
+    // going back to sleep — costs the tagged search one evaluation per
+    // expression it probes and the change-driven relay none, since it
+    // reuses the snapshot of the last diff. So the change-driven mode
+    // saves about one expression evaluation per futile wakeup (~450 of
+    // ~3100 per run) and nothing on predicate evaluations, which both
+    // modes spend on the same waiters. Before the owed-relay rule the
+    // tagged mode also paid a full search on every clean going-to-wait,
+    // which made the gap 15 % of all work; it is now ~5 %, inside the
+    // ±4 % a single run moves with the thread schedule. Summing RUNS
+    // runs per mode shrinks that noise by √RUNS and leaves the
+    // comparison the same meaning it had.
+    const RUNS: usize = 20;
     let config = param_bounded_buffer::ParamBoundedBufferConfig {
         consumers: 8,
         takes_per_consumer: 150,
@@ -187,24 +204,45 @@ fn change_driven_beats_tagged_on_fig14_eval_counts() {
         capacity: 128,
         seed: 0x5EED,
     };
-    let tagged = param_bounded_buffer::run(Mechanism::AutoSynch, config);
-    let cd = param_bounded_buffer::run(Mechanism::AutoSynchCD, config);
+    // (expr_evals, pred_evals) summed over the runs, the modes
+    // interleaved so a load change on the box hits both alike.
+    let mut tagged = (0u64, 0u64);
+    let mut cd = (0u64, 0u64);
+    for _ in 0..RUNS {
+        for (mechanism, sum) in [
+            (Mechanism::AutoSynch, &mut tagged),
+            (Mechanism::AutoSynchCD, &mut cd),
+        ] {
+            let counters = param_bounded_buffer::run(mechanism, config).stats.counters;
+            assert_eq!(counters.broadcasts, 0);
+            sum.0 += counters.expr_evals;
+            sum.1 += counters.pred_evals;
+        }
+    }
 
-    let work = |c: &autosynch_repro::metrics::CounterSnapshot| c.expr_evals + c.pred_evals;
     assert!(
-        work(&cd.stats.counters) < work(&tagged.stats.counters),
+        cd.0 + cd.1 < tagged.0 + tagged.1,
         "change-driven work {} (expr {} + pred {}) must undercut tagged {} (expr {} + pred {})",
-        work(&cd.stats.counters),
-        cd.stats.counters.expr_evals,
-        cd.stats.counters.pred_evals,
-        work(&tagged.stats.counters),
-        tagged.stats.counters.expr_evals,
-        tagged.stats.counters.pred_evals,
+        cd.0 + cd.1,
+        cd.0,
+        cd.1,
+        tagged.0 + tagged.1,
+        tagged.0,
+        tagged.1,
     );
     assert!(
-        cd.stats.counters.expr_evals < tagged.stats.counters.expr_evals,
+        cd.0 < tagged.0,
         "snapshot reuse must cut expression evaluations: {} vs {}",
-        cd.stats.counters.expr_evals,
-        tagged.stats.counters.expr_evals,
+        cd.0,
+        tagged.0,
+    );
+    // The two modes wake and re-check the same waiters: predicate
+    // evaluations run level (measured 0.98–1.03 over 20 runs), so the
+    // edge above is the snapshot's and not a shifted cost.
+    assert!(
+        cd.1 * 100 <= tagged.1 * 105 && tagged.1 * 100 <= cd.1 * 105,
+        "predicate evaluations must stay within 5 % of each other: cd {} vs tagged {}",
+        cd.1,
+        tagged.1,
     );
 }

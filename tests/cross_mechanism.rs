@@ -154,10 +154,17 @@ fn explicit_param_buffer_is_the_signal_all_problem() {
 #[test]
 fn tagging_beats_scanning_on_round_robin() {
     // Table 1's mechanism: the equivalence hash probe replaces an O(N)
-    // scan per relay.
+    // scan per relay. Each turn costs the tagged monitor 3 evaluations —
+    // the check at entry, the one candidate its exit relay's hash probe
+    // names, that waiter's re-check. The scanning monitor pays the same
+    // two checks plus an exit relay that walks the waiting entries until
+    // it meets the true one, about half of the up to N - 1 parked: at
+    // N = 32 that is some 2 + 15 against 3. (No factor comes from a
+    // going-to-wait relay: a thread that blocks without having written
+    // owes none in either mode.)
     let config = round_robin::RoundRobinConfig {
-        threads: 16,
-        rounds: 100,
+        threads: 32,
+        rounds: 50,
     };
     let tagged = round_robin::run(Mechanism::AutoSynch, config);
     let scanned = round_robin::run(Mechanism::AutoSynchT, config);
