@@ -10,8 +10,8 @@
 //!
 //! The bridge/bathroom/forum groups measure the mixed-shape predicates
 //! (conjunctions and disjunctions) under drain/refill churn, and
-//! `ext_wake_storm` contrasts parked gate-broadcast wakes with routed
-//! eq-directed unparks on K out-of-phase round-robin channels.
+//! `ext_wake_storm` contrasts explicit signals and tagged relays with
+//! routed eq-directed unparks on K out-of-phase round-robin channels.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -174,7 +174,6 @@ fn bench_wake_storm(c: &mut Criterion) {
         for mechanism in [
             Mechanism::Explicit,
             Mechanism::AutoSynch,
-            Mechanism::AutoSynchPark,
             Mechanism::AutoSynchRoute,
         ] {
             group.bench_with_input(

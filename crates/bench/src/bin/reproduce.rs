@@ -92,21 +92,15 @@ const EXPERIMENTS: &[Experiment] = &[
         run: figures::relay_cost,
     },
     Experiment {
-        id: "park",
-        title: "Extension — signaler-lock hold time: parked vs sharded vs change-driven",
-        expectation: "AutoSynch-Park: lower hold time (waiters self-check via the ring); emits BENCH_park.json",
-        run: figures::park_hold,
-    },
-    Experiment {
         id: "wake",
-        title: "Extension — wake precision: routed vs parked unparks and self-checks",
-        expectation: "AutoSynch-Route: ~1 unpark/relay on fig11, ladder skips on fig14, transient cache hits on the mix — strictly fewer self-checks and unparks/relay than Park throughout; emits BENCH_wake.json",
+        title: "Extension — wake precision: routed unparks and self-checks (sharded for context)",
+        expectation: "AutoSynch-Route: ~1 unpark/relay on fig11, ladder skips on fig14, transient cache hits on the mix; emits BENCH_wake.json",
         run: figures::wake_routing,
     },
     Experiment {
         id: "extstorm",
         title: "Extension — wake storm: K hot expressions x N waiters (runtime, seconds)",
-        expectation: "adversarial signal order; routing shines where broadcast parking herds",
+        expectation: "adversarial signal order; eq-routed wakes unpark only the next waiter of each channel",
         run: figures::ext_wake_storm,
     },
     Experiment {

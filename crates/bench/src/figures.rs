@@ -379,106 +379,6 @@ pub fn relay_cost() -> Table {
     table
 }
 
-/// Extension: signaler-lock hold time, parked vs sharded vs
-/// change-driven, on the three workloads where shrinking the signaler's
-/// critical section matters most (Fig. 11 round robin, Fig. 14
-/// parameterized buffer, and the many-queue showcase). Timing is
-/// enabled, so the `hold` stat records the in-lock duration of every
-/// relay; the parked column should undercut the sharded one because a
-/// parked relay neither probes indexes nor evaluates waiters'
-/// predicates — the waiters self-check against the snapshot ring
-/// (`waiter_self_checks` / `false_wakeups`). The series is written to
-/// `BENCH_park.json` for the perf trajectory.
-pub fn park_hold() -> Table {
-    let mut table = Table::with_columns(&[
-        "workload",
-        "mechanism",
-        "elapsed(s)",
-        "hold(ms)",
-        "hold/relay(ns)",
-        "self_checks",
-        "false_wakeups",
-        "futile",
-        "unparks",
-        "named_muts",
-        "pred_evals",
-    ]);
-    let mechanisms = [
-        Mechanism::AutoSynchCD,
-        Mechanism::AutoSynchShard,
-        Mechanism::AutoSynchPark,
-    ];
-    let consumers = if sweep::full_scale() { 64 } else { 16 };
-    let rr_threads = if sweep::full_scale() { 64 } else { 16 };
-    let rr_config = RoundRobinConfig {
-        threads: rr_threads,
-        rounds: sweep::ops_per_thread(rr_threads),
-    };
-    let queues_config = shard_queues_config(consumers / 2);
-    let mut entries = String::new();
-    let mut record = |workload: &str, report: &RunReport| {
-        let c = report.stats.counters;
-        let hold = report.stats.hold;
-        table.row(vec![
-            workload.to_owned(),
-            report.mechanism.label().to_owned(),
-            secs(report.elapsed),
-            format!("{:.2}", hold.nanos as f64 / 1e6),
-            format!("{:.0}", hold.mean_nanos()),
-            c.waiter_self_checks.to_string(),
-            c.false_wakeups.to_string(),
-            c.futile_wakeups.to_string(),
-            c.unparks.to_string(),
-            c.named_mutations.to_string(),
-            c.pred_evals.to_string(),
-        ]);
-        if !entries.is_empty() {
-            entries.push_str(",\n");
-        }
-        entries.push_str(&format!(
-            "    {{\"workload\": \"{workload}\", \"mechanism\": \"{}\", \
-             \"elapsed_s\": {:.6}, \"hold_ns\": {}, \"relay_calls\": {}, \
-             \"hold_per_relay_ns\": {:.1}, \"waiter_self_checks\": {}, \
-             \"false_wakeups\": {}, \"futile_wakeups\": {}, \"unparks\": {}, \
-             \"named_mutations\": {}, \"pred_evals\": {}, \"expr_evals\": {}, \
-             \"wakeups\": {}, \"broadcasts\": {}}}",
-            report.mechanism.label(),
-            report.elapsed.as_secs_f64(),
-            hold.nanos,
-            c.relay_calls,
-            hold.mean_nanos(),
-            c.waiter_self_checks,
-            c.false_wakeups,
-            c.futile_wakeups,
-            c.unparks,
-            c.named_mutations,
-            c.pred_evals,
-            c.expr_evals,
-            c.wakeups,
-            c.broadcasts,
-        ));
-    };
-    for mechanism in mechanisms {
-        let report = param_bounded_buffer::run_timed(mechanism, fig14_config(consumers));
-        record("fig14_param_bounded_buffer", &report);
-    }
-    for mechanism in mechanisms {
-        let report = round_robin::run_timed(mechanism, rr_config);
-        record("fig11_round_robin", &report);
-    }
-    for mechanism in mechanisms {
-        let report = sharded_queues::run_timed(mechanism, queues_config);
-        record("ext_sharded_queues", &report);
-    }
-    let json = format!("{{\n  \"benchmarks\": [\n{entries}\n  ]\n}}\n");
-    let path = "BENCH_park.json";
-    match std::fs::write(path, json) {
-        Ok(()) => println!("   [park hold-time series written to {path}]"),
-        Err(err) => eprintln!("   [failed to write {path}: {err}]"),
-    }
-    table
-}
-
 /// A mixed compiled/transient bounded buffer: producers wait on
 /// compiled `free >= put` conditions (slot buckets, ladder rungs),
 /// consumers on per-call `wait_transient(level >= take)` predicates
@@ -529,8 +429,8 @@ fn transient_mix_run(mechanism: Mechanism, pairs: usize, ops: usize) -> RunRepor
     }
 }
 
-/// Extension: wake precision — routed vs parked (vs sharded for
-/// context) on the four workloads spanning the tag families: fig11's
+/// Extension: wake precision — routed (vs sharded for context) on the
+/// four workloads spanning the tag families: fig11's
 /// round robin (N waiters, one hot equivalence expression), the wake
 /// storm (K hot expressions × N waiters, adversarial signal order),
 /// fig14's parameterized bounded buffer (threshold-shaped `count >=
@@ -540,10 +440,10 @@ fn transient_mix_run(mechanism: Mechanism, pairs: usize, ops: usize) -> RunRepor
 /// per-relay unparks, waiter self-checks, end-to-end time and the
 /// precision counters (`ladder_skips`, `cursor_resumes`,
 /// `transient_cache_hits`); the routed rows should show `unparks/relay
-/// ≈ 1` on fig11 against the parked mode's per-gate herd, and strictly
-/// fewer self-checks everywhere — including fig14, where PR 5's
-/// eq-only routing still herd-woke every rung. The series is written
-/// to `BENCH_wake.json`; CI asserts the fig11 and fig14 margins.
+/// ≈ 1` on fig11 (one targeted unpark per handoff, not a per-gate
+/// herd) and ladder skips on fig14, where eq-only routing would
+/// herd-wake every rung. The series is written to `BENCH_wake.json`;
+/// CI asserts the fig11 and fig14 bars.
 pub fn wake_routing() -> Table {
     let mut table = Table::with_columns(&[
         "workload",
@@ -560,11 +460,7 @@ pub fn wake_routing() -> Table {
         "cursor_resumes",
         "transient_hits",
     ]);
-    let mechanisms = [
-        Mechanism::AutoSynchShard,
-        Mechanism::AutoSynchPark,
-        Mechanism::AutoSynchRoute,
-    ];
+    let mechanisms = [Mechanism::AutoSynchShard, Mechanism::AutoSynchRoute];
     let rr_threads = if sweep::full_scale() { 64 } else { 16 };
     let rr_config = RoundRobinConfig {
         threads: rr_threads,
@@ -666,8 +562,9 @@ fn wake_storm_config() -> WakeStormConfig {
 
 /// Extension: the wake storm end to end — K independent round-robin
 /// channels behind one monitor, runtime vs channel count. The
-/// automatic family's interesting contrast is Park (gate broadcast
-/// herds) vs Route (eq-directed single unparks).
+/// automatic family's interesting contrast is the condvar relay modes
+/// (a signaler-side probe per advance) vs Route (eq-directed single
+/// unparks).
 pub fn ext_wake_storm() -> Table {
     let mechanisms = Mechanism::WITHOUT_BASELINE;
     let mut table = Table::new(header("channels", &mechanisms));
@@ -1115,8 +1012,8 @@ pub fn ext_barrier_counters() -> Table {
 ///   registration→return wait-latency p50/p90/p99/p999 from the
 ///   log-linear histogram (upper bucket bounds: never under-reported,
 ///   at most ~3.1% over) plus the mean. This is the tail-latency view
-///   the mean-based figures can't show — a routed mode can match
-///   Park's mean while collapsing its p999.
+///   the mean-based figures can't show — two modes can share a mean
+///   while one of them collapses the p999.
 /// * **`TRACE_obs.json`** — a deterministic flight-recorder capture
 ///   (recording force-enabled around three small shaped runs, prior
 ///   state restored) written as Chrome trace-event JSON, loadable
@@ -1228,13 +1125,12 @@ pub fn obs() -> Table {
             }
         });
     }
-    // Parks, self-checks, token sweeps, relay passes: small shaped
-    // runs through the parked and routed modes.
+    // Parks, self-checks, token sweeps, relay passes: a small shaped
+    // run through the routed mode.
     let small_rr = RoundRobinConfig {
         threads: 4,
         rounds: 32,
     };
-    round_robin::run(Mechanism::AutoSynchPark, small_rr);
     round_robin::run(Mechanism::AutoSynchRoute, small_rr);
     let events = telemetry::drain_all().events;
     telemetry::set_enabled(was_on);
@@ -1541,12 +1437,13 @@ pub fn async_waiters() -> Table {
 ///   construction, and the stitched `measured_ns` total is compared
 ///   against the monitor's own `stats.wait.nanos` (`recon_err_pct` —
 ///   exact when no ring slot was overwritten).
-/// * **`TRACE_watch.json`** — the parked wake storm's raw events plus
+/// * **`TRACE_watch.json`** — the routed wake storm's raw events plus
 ///   one `"ph": "X"` duration bar per stitched span, loadable in
 ///   Perfetto.
 /// * **Detector cells** (the `detectors` entries) — four engineered
-///   positive/control pairs sampled live at 2ms: a parked mini-storm
-///   herds while its routed twin stays quiet; a mutex-only mutation
+///   positive/control pairs sampled live at 2ms: a routed mini-storm
+///   on opaque closures herds on the global gate's broadcast while its
+///   compiled-`eq` twin stays quiet; a mutex-only mutation
 ///   loop relay-storms while its elided twin records no relay calls at
 ///   all; spiked occupancies convoy while uniform ones don't; a
 ///   laggard release strands the wait tail while a bulk release
@@ -1713,7 +1610,7 @@ pub fn watch() -> Table {
             &stitched,
             drained.dropped,
         );
-        if mechanism == Mechanism::AutoSynchPark {
+        if mechanism == Mechanism::AutoSynchRoute {
             storm_trace = Some((drained.events, stitched));
         }
     }
@@ -1801,9 +1698,11 @@ pub fn watch() -> Table {
         ));
     };
 
-    // Wake herd: one hot channel, eight equivalence waiters. Parked
-    // gates broadcast the whole gate per advance (herd factor ~8);
-    // eq-routing unparks exactly the next waiter (herd ~1).
+    // Wake herd: one hot channel, eight equivalence waiters under
+    // Route. Opaque closures land on the global gate, whose broadcast
+    // wakes every waiter per advance (herd factor ~8); compiled
+    // `turn == id` conditions are eq-routed and unpark exactly the
+    // next waiter (herd ~1).
     struct Turn {
         turn: Tracked<i64>,
     }
@@ -1812,18 +1711,29 @@ pub fn watch() -> Table {
             f(&mut self.turn);
         }
     }
-    let herd_cell = |mechanism: Mechanism| -> Vec<HealthReport> {
+    let herd_cell = |opaque: bool| -> Vec<HealthReport> {
         let waiters: i64 = 8;
         let rounds = if sweep::full_scale() { 400 } else { 250 };
         let m = Monitor::with_config(
             Turn {
                 turn: Tracked::new(0),
             },
-            mechanism.monitor_config().expect("automatic").timing(true),
+            Mechanism::AutoSynchRoute
+                .monitor_config()
+                .expect("automatic")
+                .timing(true),
         );
         let turn = m.register_expr("turn", |s: &Turn| *s.turn.get());
         m.bind(|s| &mut s.turn, &[turn]);
-        let conds: Vec<_> = (0..waiters).map(|id| m.compile(turn.eq(id))).collect();
+        let conds: Vec<_> = (0..waiters)
+            .map(|id| {
+                if opaque {
+                    m.compile(move |s: &Turn| *s.turn.get() == id)
+                } else {
+                    m.compile(turn.eq(id))
+                }
+            })
+            .collect();
         let stop = AtomicBool::new(false);
         std::thread::scope(|scope| {
             let sampler = scope.spawn(|| sample_health(&m, &stop, cadence, 6));
@@ -1849,15 +1759,15 @@ pub fn watch() -> Table {
             sampler.join().unwrap()
         })
     };
-    let reports = herd_cell(Mechanism::AutoSynchPark);
+    let reports = herd_cell(true);
     record_cell(
-        "herd_parked_storm",
-        Mechanism::AutoSynchPark.label(),
+        "herd_routed_opaque_storm",
+        Mechanism::AutoSynchRoute.label(),
         Pathology::WakeHerd,
         true,
         &reports,
     );
-    let reports = herd_cell(Mechanism::AutoSynchRoute);
+    let reports = herd_cell(false);
     record_cell(
         "herd_routed_control",
         Mechanism::AutoSynchRoute.label(),
@@ -1999,7 +1909,7 @@ pub fn watch() -> Table {
             Gate {
                 released: Tracked::new(0),
             },
-            Mechanism::AutoSynchPark
+            Mechanism::AutoSynchRoute
                 .monitor_config()
                 .expect("automatic")
                 .timing(true),
@@ -2043,7 +1953,7 @@ pub fn watch() -> Table {
     let reports = stranded_cell(true);
     record_cell(
         "stranded_laggard_release",
-        Mechanism::AutoSynchPark.label(),
+        Mechanism::AutoSynchRoute.label(),
         Pathology::StrandedTail,
         true,
         &reports,
@@ -2051,7 +1961,7 @@ pub fn watch() -> Table {
     let reports = stranded_cell(false);
     record_cell(
         "stranded_bulk_control",
-        Mechanism::AutoSynchPark.label(),
+        Mechanism::AutoSynchRoute.label(),
         Pathology::StrandedTail,
         false,
         &reports,

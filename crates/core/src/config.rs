@@ -30,25 +30,18 @@ pub enum SignalMode {
     /// batched pass may signal up to `relay_width` waiters from
     /// independent shards.
     Sharded,
-    /// Waiter-parked AutoSynch (`autosynch_park`, an extension beyond
-    /// the paper): the predicate work leaves the signaler's critical
-    /// path entirely. Waiters park themselves on per-shard wait queues
-    /// (one queue + lock per dependency shard, cross-shard/opaque
-    /// conjunctions on a global queue); a signaler's exit only diffs
-    /// the expression snapshot, publishes the new epoch into the
-    /// lock-free ring, and unparks the queues of affected shards.
-    /// Unparked waiters re-check their own predicate against the ring
-    /// snapshot **without any lock** and re-park when it is still
-    /// false; only a maybe-true verdict takes the shard lock to leave
-    /// the queue and the monitor lock to confirm-and-claim (the
-    /// monitor-lock confirm is also the fallback for opaque
-    /// conjunctions the snapshot cannot decide).
-    Parked,
-    /// Routed-wake AutoSynch (an extension beyond the paper, layered on
-    /// `Parked`): waiters still park themselves and self-check against
-    /// the ring, but the wait queues are **bucketed by compiled-`Cond`
-    /// slot** and a signaler's exit announces *slot-targeted* wakes
-    /// instead of per-gate broadcasts. Three mechanisms, in escalating
+    /// Routed-wake AutoSynch (an extension beyond the paper): the
+    /// predicate work leaves the signaler's critical path. Waiters park
+    /// themselves on per-gate wait queues (one gate per dependency
+    /// shard, cross-shard/opaque conditions on a global gate) that are
+    /// **bucketed by compiled-`Cond` slot**; a signaler's exit diffs the
+    /// expression snapshot, publishes the new epoch into the lock-free
+    /// ring and announces *slot-targeted* wakes. Unparked waiters
+    /// re-check their own predicate against the ring snapshot **without
+    /// any lock** and re-park when it is still false; only a maybe-true
+    /// verdict takes the monitor lock to confirm-and-claim (the
+    /// monitor-lock confirm is also the fallback for opaque conditions
+    /// the snapshot cannot decide). Three mechanisms, in escalating
     /// precision: (1) a wake names slot buckets, not gates; (2) each
     /// bucket wake is a **token sweep** — only the bucket head is
     /// unparked, a waiter whose snapshot self-check comes back false
@@ -59,8 +52,8 @@ pub enum SignalMode {
     /// value through an eq-route index straight to the single slot
     /// whose waiters can have flipped — one unpark instead of a wake
     /// herd. Transient (uncompiled) waiters fall back to a per-gate
-    /// broadcast bucket, and cross-shard/opaque conditions keep the
-    /// global gate's parked-style broadcast.
+    /// broadcast bucket, and cross-shard/opaque conditions to the
+    /// global gate's broadcast bucket.
     Routed,
 }
 
@@ -135,8 +128,8 @@ impl MonitorConfig {
     /// ```
     /// use autosynch::config::{MonitorConfig, SignalMode};
     ///
-    /// let parked = MonitorConfig::preset(SignalMode::Parked).shards(4);
-    /// assert_eq!(parked.signal_mode(), SignalMode::Parked);
+    /// let routed = MonitorConfig::preset(SignalMode::Routed).shards(4);
+    /// assert_eq!(routed.signal_mode(), SignalMode::Routed);
     /// ```
     pub fn preset(mode: SignalMode) -> Self {
         Self::new().mode(mode)
@@ -363,7 +356,6 @@ mod tests {
             SignalMode::Untagged,
             SignalMode::ChangeDriven,
             SignalMode::Sharded,
-            SignalMode::Parked,
             SignalMode::Routed,
         ] {
             let c = MonitorConfig::preset(mode);

@@ -37,10 +37,9 @@
 //! | AutoSynch (full) | [`Monitor`] with defaults |
 //! | AutoSynch-CD (tags + expression versioning) | [`Monitor`] with `preset(SignalMode::ChangeDriven)` |
 //! | AutoSynch-Shard (CD + dependency-sharded manager) | [`Monitor`] with `preset(SignalMode::Sharded)` |
-//! | AutoSynch-Park (waiter-side parking + self-service re-checks) | [`Monitor`] with `preset(SignalMode::Parked)` |
-//! | AutoSynch-Route (slot-bucketed token sweeps + eq-directed unparks) | [`Monitor`] with `preset(SignalMode::Routed)` |
+//! | AutoSynch-Route (waiter-side self-checks + slot-targeted unparks) | [`Monitor`] with `preset(SignalMode::Routed)` |
 //!
-//! All six automatic variants share one constructor,
+//! All five automatic variants share one constructor,
 //! [`config::MonitorConfig::preset`].
 //!
 //! AutoSynch-CD is this reproduction's extension beyond the paper: the
@@ -52,23 +51,22 @@
 //! shards a mutation can have affected, batches up to `relay_width`
 //! signals from independent shards per exit, and publishes each diff
 //! into a lock-free snapshot ring readable without the monitor lock
-//! ([`Monitor::latest_expr_snapshot`]). AutoSynch-Park completes the
-//! progression: per-shard wait queues and locks where waiters park
-//! themselves; a signaler's exit only publishes the diff epoch and
-//! unparks the affected queues (after releasing the lock), and each
-//! waiter re-checks its own predicate against the ring — predicate
-//! work leaves the signaler's critical section entirely.
-//! AutoSynch-Route sharpens the parked wakes: gate queues are bucketed
-//! by compiled-`Cond` slot, each bucket wake is a waiter-forwarded
-//! token sweep instead of a broadcast, and equivalence-shaped
-//! conditions (`turn == id`) get value-directed single unparks through
-//! an eq-route index — the fig11 self-check herd becomes one targeted
+//! ([`Monitor::latest_expr_snapshot`]). AutoSynch-Route completes the
+//! progression: waiters park themselves on per-shard gate queues
+//! bucketed by compiled-`Cond` slot; a signaler's exit only publishes
+//! the diff epoch and announces slot-targeted wakes (delivered after
+//! releasing the lock), and each waiter re-checks its own predicate
+//! against the ring — predicate work leaves the signaler's critical
+//! section entirely. Each bucket wake is a waiter-forwarded token
+//! sweep instead of a broadcast, and equivalence-shaped conditions
+//! (`turn == id`) get value-directed single unparks through an
+//! eq-route index — the fig11 self-check herd becomes one targeted
 //! wake.
 //! [`tracked::Tracked`] state cells (with
 //! [`Monitor::enter_tracked`]) name the touched expressions on every
 //! write automatically, so diffs evaluate only those — the v2
 //! replacement of the retired `enter_mutating` slice contract. On top
-//! of all six modes sits the uncontended fast path: a packed monitor
+//! of all five modes sits the uncontended fast path: a packed monitor
 //! word lets a quiescent monitor be entered by a single CAS and exited
 //! by a single atomic AND (skipping mutex, relay and snapshot publish,
 //! all provably unnecessary when nobody is present), and contended

@@ -52,7 +52,6 @@ use parking_lot::Condvar;
 use crate::config::{MonitorConfig, SignalMode};
 use crate::dense::{slot_mut, LiveExprs};
 use crate::eq_index::PredId;
-use crate::parking::ParkingLot;
 use crate::slab::Slab;
 use crate::stats::MonitorStats;
 use crate::wake::{BucketKey, RoutedWake, SlotRoute, WakeLot, WakeRouter};
@@ -178,18 +177,10 @@ pub(crate) struct ConditionManager<S> {
     named: Vec<ExprId>,
     /// Scratch bitmap over `named`, rebuilt per named diff.
     named_scratch: Vec<bool>,
-    /// Scratch bitmap: gates a parked relay must wake.
+    /// Scratch bitmap: gates a routed relay's changed set touches.
     gate_scratch: Vec<bool>,
-    /// Gates whose wake this relay announced but has not delivered:
-    /// the monitor drains this right before releasing the lock and
-    /// performs the unparks outside the critical section.
-    pending_wake_gates: Vec<u32>,
     /// Lock-free publication of the diff snapshot.
     ring: Arc<SnapshotRing>,
-    /// Per-shard gates: wait queues + shard locks (`Parked` mode parks
-    /// waiters here; `Sharded` mode takes the same locks around its
-    /// index probes). Empty in the other modes.
-    parking: Arc<ParkingLot>,
     /// Per-shard slot-bucketed gates (`Routed` mode only; empty
     /// otherwise): waiters park per `Cond`-slot bucket and wakes are
     /// targeted sweeps instead of gate broadcasts.
@@ -198,9 +189,9 @@ pub(crate) struct ConditionManager<S> {
     /// dependency routes (change-directed) for every active slotted
     /// entry parked on a data gate.
     wake_router: WakeRouter,
-    /// Routed wakes this relay announced but has not delivered — the
-    /// `Routed` counterpart of `pending_wake_gates`, drained by the
-    /// monitor right before releasing the lock.
+    /// Routed wakes this relay announced but has not delivered: the
+    /// monitor drains this right before releasing the lock and
+    /// performs the unparks outside the critical section.
     pending_routed: Vec<RoutedWake>,
     /// Scratch bitmap over compiled slots: buckets already announced in
     /// this relay (a slot with several changed dependencies is swept
@@ -211,17 +202,13 @@ pub(crate) struct ConditionManager<S> {
 impl<S> ConditionManager<S> {
     pub(crate) fn new(config: MonitorConfig) -> Self {
         let data_shards = match config.signal_mode() {
-            SignalMode::Sharded | SignalMode::Parked | SignalMode::Routed => config.shard_count(),
+            SignalMode::Sharded | SignalMode::Routed => config.shard_count(),
             _ => 1,
         };
         let router = ShardRouter::new(data_shards);
         let shard_slots = match config.signal_mode() {
-            SignalMode::Sharded | SignalMode::Parked | SignalMode::Routed => router.shard_count(),
+            SignalMode::Sharded | SignalMode::Routed => router.shard_count(),
             _ => 1,
-        };
-        let gates = match config.signal_mode() {
-            SignalMode::Sharded | SignalMode::Parked => router.shard_count(),
-            _ => 0,
         };
         let wake_gates = match config.signal_mode() {
             SignalMode::Routed => router.shard_count(),
@@ -250,9 +237,7 @@ impl<S> ConditionManager<S> {
             named: Vec::new(),
             named_scratch: Vec::new(),
             gate_scratch: Vec::new(),
-            pending_wake_gates: Vec::new(),
             ring: Arc::new(SnapshotRing::new()),
-            parking: Arc::new(ParkingLot::new(gates)),
             wake: Arc::new(WakeLot::with_config(
                 wake_gates,
                 config.transient_bucket_capacity(),
@@ -323,11 +308,6 @@ impl<S> ConditionManager<S> {
         Arc::clone(&self.ring)
     }
 
-    /// The per-shard parking gates (queues + locks).
-    pub(crate) fn parking(&self) -> Arc<ParkingLot> {
-        Arc::clone(&self.parking)
-    }
-
     /// The per-shard slot-bucketed wake gates (`Routed` mode).
     pub(crate) fn wake_lot(&self) -> Arc<WakeLot> {
         Arc::clone(&self.wake)
@@ -353,13 +333,10 @@ impl<S> ConditionManager<S> {
         }
     }
 
-    /// The gate a `Parked`- or `Routed`-mode waiter of `pid` enqueues
-    /// on (see [`ConditionManager::gate_of_routes`]).
+    /// The gate a `Routed`-mode waiter of `pid` enqueues on (see
+    /// [`ConditionManager::gate_of_routes`]).
     pub(crate) fn park_gate(&self, pid: PredId) -> usize {
-        debug_assert!(matches!(
-            self.config.signal_mode(),
-            SignalMode::Parked | SignalMode::Routed
-        ));
+        debug_assert_eq!(self.config.signal_mode(), SignalMode::Routed);
         Self::gate_of_routes(&self.router, &self.entries[pid].routes)
     }
 
@@ -633,9 +610,6 @@ impl<S> ConditionManager<S> {
         if mode == SignalMode::Sharded {
             return self.relay_sharded(state, exprs, stats);
         }
-        if mode == SignalMode::Parked {
-            return self.relay_parked(state, exprs, stats);
-        }
         if mode == SignalMode::Routed {
             return self.relay_routed(state, exprs, stats);
         }
@@ -668,7 +642,7 @@ impl<S> ConditionManager<S> {
                     let filtered = !self.shards[0].probe_all;
                     self.probe_only_shard(state, exprs, filtered)
                 }
-                SignalMode::Sharded | SignalMode::Parked | SignalMode::Routed => {
+                SignalMode::Sharded | SignalMode::Routed => {
                     unreachable!("dispatched above")
                 }
             };
@@ -754,15 +728,8 @@ impl<S> ConditionManager<S> {
                         cache,
                         changed,
                         tally,
-                        parking,
                         ..
                     } = self;
-                    // The partition proves disjointness (re-derived by
-                    // the route validator), so this shard's lock covers
-                    // the index access — the same lock a Parked-mode
-                    // waiter takes to claim, making the two regimes
-                    // share one per-shard locking discipline.
-                    let _shard_lock = parking.probe_guard(sid);
                     let shard = &mut shards[sid];
                     let changed = (!shard.probe_all).then_some(changed.as_slice());
                     shard.probe(entries, state, exprs, cache, changed, tally)
@@ -812,83 +779,12 @@ impl<S> ConditionManager<S> {
         first
     }
 
-    /// The parked relay: the signaler's whole exit path. No index is
-    /// probed and no waiter predicate is evaluated — the relay (1)
-    /// diffs the expression snapshot and publishes the new epoch into
-    /// the lock-free ring, then (2) unparks the wait queues of the
-    /// affected gates: every data gate owning a changed expression,
-    /// and the global gate on any mutation (its waiters — cross-shard,
-    /// opaque, disjunctions spanning shards — may depend on anything).
-    /// Unparked waiters re-check their own predicates against the ring
-    /// and come claim the monitor themselves.
-    ///
-    /// Soundness of the skip and of the per-gate wake filter: a
-    /// predicate can only flip false→true via a state mutation; an
-    /// unmutated exit publishes nothing and wakes no one. After a
-    /// mutation, a data-gate waiter's conjunctions depend only on
-    /// expressions its shard owns (routing confinement, re-proved by
-    /// the validator), and the diff's epoch-contiguity rule reports any
-    /// gap as changed — so "no owned expression changed" implies no
-    /// waiter behind that gate can have flipped.
-    fn relay_parked(
-        &mut self,
-        state: &S,
-        exprs: &ExprTable<S>,
-        stats: &MonitorStats,
-    ) -> Option<PredId> {
-        if !self.state_dirty {
-            self.tally.relay_skips += 1;
-            if self.config.validates_relay() {
-                self.check_parking_protocol(state, exprs);
-            }
-            return None;
-        }
-        self.diff_snapshot(state, exprs, stats);
-        self.state_dirty = false;
-        let timer = stats.phases.start(Phase::RelaySignal);
-        let gates = self.parking.gate_count();
-        self.gate_scratch.clear();
-        self.gate_scratch.resize(gates, false);
-        for (idx, &was_changed) in self.changed.iter().enumerate() {
-            if was_changed {
-                let sid = self.router.shard_of_expr(ExprId::from_raw(idx as u32));
-                self.gate_scratch[sid] = true;
-            }
-        }
-        // Any mutation can have flipped a global-gate predicate.
-        self.gate_scratch[self.router.global()] = true;
-        // Announce, don't deliver: the per-slot token handoffs happen
-        // after the monitor lock is released (the whole point of the
-        // parked mode is that they never extend the critical section).
-        // Empty gates are skipped via the lock-free length mirror.
-        for gate in 0..gates {
-            if self.gate_scratch[gate] && self.parking.has_waiters(gate) {
-                self.parking.announce_wake(gate);
-                self.pending_wake_gates.push(gate as u32);
-            }
-        }
-        timer.finish();
-        if self.config.validates_relay() {
-            self.check_parking_protocol(state, exprs);
-        }
-        None
-    }
-
-    /// Moves the relay's announced-but-undelivered wakes into `out`
-    /// (cleared first) and returns the epoch to stamp them with. The
-    /// monitor calls this right before releasing the lock and delivers
-    /// each wake outside the critical section.
-    pub(crate) fn drain_pending_wakes(&mut self, out: &mut Vec<u32>) -> u64 {
-        out.clear();
-        out.append(&mut self.pending_wake_gates);
-        self.cache.epoch
-    }
-
-    /// The routed relay: the parked relay's exit path with slot-level
-    /// precision. Like `relay_parked` it only diffs + publishes — no
-    /// index probe, no waiter-predicate evaluation, no token handoff
-    /// under the lock — but instead of announcing per-gate broadcasts
-    /// it announces **targeted** wakes:
+    /// The routed relay: the signaler's whole exit path. No index is
+    /// probed, no waiter predicate is evaluated and no token is handed
+    /// off under the lock — the relay diffs the expression snapshot,
+    /// publishes the new epoch into the lock-free ring, and announces
+    /// **targeted** wakes, which the monitor delivers after releasing
+    /// the lock:
     ///
     /// * changed expressions with equivalence routes wake exactly the
     ///   slot registered under the freshly published value (every other
@@ -904,10 +800,13 @@ impl<S> ConditionManager<S> {
     /// * affected gates' transient buckets are broadcast, and each
     ///   graduated (LRU-admitted) per-predicate bucket gets a targeted
     ///   token sweep instead (see `wait_transient`);
-    /// * the global gate keeps the parked mode's conservative full
-    ///   broadcast on any mutation.
+    /// * the global gate (cross-shard, opaque and shard-spanning
+    ///   conditions, which may depend on anything) is broadcast on any
+    ///   mutation.
     ///
-    /// Soundness of the slot filter: a data-gate slot's dependencies
+    /// Soundness of the skip: a predicate can only flip false→true via
+    /// a state mutation, so an unmutated exit publishes nothing and
+    /// wakes no one. Soundness of the slot filter: a data-gate slot's dependencies
     /// are confined to its gate's shard (route validator), its
     /// predicate can only flip via a dependency change, and the diff's
     /// epoch-contiguity rule reports gaps as changed — so a slot none
@@ -1002,8 +901,7 @@ impl<S> ConditionManager<S> {
             }
         }
         // Transient buckets of affected data gates (slotless waiters
-        // keep the parked broadcast semantics), skipped lock-free when
-        // empty.
+        // get a gate-wide broadcast), skipped lock-free when empty.
         let global = self.router.global();
         for gate in 0..gates {
             if gate != global && self.gate_scratch[gate] && self.wake.has_transient(gate) {
@@ -1024,9 +922,9 @@ impl<S> ConditionManager<S> {
     }
 
     /// Moves the routed relay's announced-but-undelivered wakes into
-    /// `out` (cleared first) and returns the epoch to stamp them with —
-    /// the `Routed` counterpart of
-    /// [`ConditionManager::drain_pending_wakes`].
+    /// `out` (cleared first) and returns the epoch to stamp them with.
+    /// The monitor calls this right before releasing the lock and
+    /// delivers each wake outside the critical section.
     pub(crate) fn drain_routed_wakes(&mut self, out: &mut Vec<RoutedWake>) -> u64 {
         out.clear();
         out.append(&mut self.pending_routed);
@@ -1051,8 +949,7 @@ impl<S> ConditionManager<S> {
     }
 
     /// Ground-truth check of the wake-routing protocol (armed by
-    /// `validate_relay`), the `Routed` analog of
-    /// [`ConditionManager::check_parking_protocol`]:
+    /// `validate_relay`):
     ///
     /// 1. re-derives every live route (partition totality, determinism,
     ///    confinement, global placement — same as the sharded checker);
@@ -1112,31 +1009,6 @@ impl<S> ConditionManager<S> {
         }
     }
 
-    /// Ground-truth check of the parking protocol (armed by
-    /// `validate_relay`): re-derives every live route like the sharded
-    /// checker, then audits the no-lost-wakeup invariant — after a
-    /// relay, every *enqueued* waiter whose predicate is currently true
-    /// must hold a pending unpark token or be awake (an awake waiter
-    /// re-checks before parking, and a claimed/dequeued one is already
-    /// on its way to the monitor lock). A parked, tokenless waiter with
-    /// a true predicate is a lost wakeup.
-    fn check_parking_protocol(&self, state: &S, exprs: &ExprTable<S>) {
-        self.check_shard_routing();
-        for (pid, entry) in self.entries.iter() {
-            if entry.waiting == 0 || !entry.pred.eval(state, exprs) {
-                continue;
-            }
-            if let Some(gate) = self.parking.uncovered(pid) {
-                panic!(
-                    "parking protocol violated: predicate {} (entry {pid:?}, \
-                     {} waiting) is true but a waiter parked in gate {gate} \
-                     holds no unpark token",
-                    entry.pred, entry.waiting
-                );
-            }
-        }
-    }
-
     /// Prepares a sharded relay: diffs the snapshot when the state was
     /// mutated and maps the changed set onto the shard flags, or decides
     /// the whole relay can be skipped (returns `true`).
@@ -1170,7 +1042,8 @@ impl<S> ConditionManager<S> {
 
     /// Diffs the expression snapshot against fresh evaluations, filling
     /// the changed bitmap, and publishes the new snapshot to the
-    /// lock-free ring. Shared by the `ChangeDriven` and `Sharded` modes.
+    /// lock-free ring (the publish only in the modes with ring readers).
+    /// Shared by the `ChangeDriven`, `Sharded` and `Routed` modes.
     fn diff_snapshot(&mut self, state: &S, exprs: &ExprTable<S>, stats: &MonitorStats) {
         let timer = stats.phases.start(Phase::SnapshotDiff);
         self.cache.epoch += 1;
@@ -1228,14 +1101,14 @@ impl<S> ConditionManager<S> {
         // forward into this epoch under a named-mutation contract): a
         // snapshot is a consistent cut of the state under one lock
         // hold, never a mix of epochs (expressions with no active
-        // dependents are `None`). Sharded and Parked modes only — plain
+        // dependents are `None`). Sharded and Routed modes only — plain
         // change-driven monitors have no ring readers, and the staging
         // + atomic stores would tax their diff hot path for nothing
-        // (BENCH tracks CD's snapDiff trajectory). Parked waiters rely
+        // (BENCH tracks CD's snapDiff trajectory). Routed waiters rely
         // on the publish: their self-checks read the ring.
         if matches!(
             self.config.signal_mode(),
-            SignalMode::Sharded | SignalMode::Parked | SignalMode::Routed
+            SignalMode::Sharded | SignalMode::Routed
         ) {
             let epoch = self.cache.epoch;
             self.publish_scratch.clear();
@@ -1328,7 +1201,6 @@ impl<S> ConditionManager<S> {
     /// is the claim that the relay was not owed.
     pub(crate) fn audit_skipped_relay(&self, state: &S, exprs: &ExprTable<S>) {
         match self.config.signal_mode() {
-            SignalMode::Parked => self.check_parking_protocol(state, exprs),
             SignalMode::Routed => self.check_wake_routing(state, exprs),
             _ => self.check_relay_invariance(state, exprs),
         }
@@ -1473,9 +1345,9 @@ impl<S> ConditionManager<S> {
                     }
                 }
             }
-            SignalMode::Parked | SignalMode::Routed => {
-                // No probe index to maintain: parked/routed waiters
-                // re-check their own predicates, so activation only
+            SignalMode::Routed => {
+                // No probe index to maintain: routed waiters re-check
+                // their own predicates, so activation only
                 // records routes (for gate placement and the validator)
                 // and dependency references (so the diff evaluates the
                 // right expressions and the wake filter covers this
@@ -1493,16 +1365,14 @@ impl<S> ConditionManager<S> {
                     }
                 }
                 self.tally.cross_shard_preds += cross_shard;
-                // Routed mode additionally indexes slotted entries for
-                // wake routing: eq route when the predicate has one,
-                // dependency route otherwise, nothing for global-gate
-                // populations (the gate broadcast covers them).
-                if self.config.signal_mode() == SignalMode::Routed {
-                    if let Some(slot) = entry.slot {
-                        let gate = Self::gate_of_routes(&self.router, &entry.routes);
-                        let route = WakeRouter::classify(&entry.pred, gate, self.router.global());
-                        self.wake_router.register(slot, gate, route);
-                    }
+                // Slotted entries are indexed for wake routing: eq
+                // route when the predicate has one, dependency route
+                // otherwise, nothing for global-gate populations (the
+                // gate broadcast covers them).
+                if let Some(slot) = entry.slot {
+                    let gate = Self::gate_of_routes(&self.router, &entry.routes);
+                    let route = WakeRouter::classify(&entry.pred, gate, self.router.global());
+                    self.wake_router.register(slot, gate, route);
                 }
             }
             SignalMode::Sharded => {
@@ -1584,7 +1454,7 @@ impl<S> ConditionManager<S> {
                     }
                 }
             }
-            SignalMode::Parked | SignalMode::Routed => {
+            SignalMode::Routed => {
                 let deps_per_conj = entry.pred.conj_deps();
                 debug_assert_eq!(entry.routes.len(), deps_per_conj.len());
                 self.tally.tag_removes += deps_per_conj.len() as u64;
@@ -1593,10 +1463,8 @@ impl<S> ConditionManager<S> {
                         self.dep_refs.release(expr);
                     }
                 }
-                if self.config.signal_mode() == SignalMode::Routed {
-                    if let Some(slot) = entry.slot {
-                        self.wake_router.unregister(slot);
-                    }
+                if let Some(slot) = entry.slot {
+                    self.wake_router.unregister(slot);
                 }
             }
             SignalMode::ChangeDriven | SignalMode::Sharded => {

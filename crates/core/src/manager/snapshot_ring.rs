@@ -158,7 +158,7 @@ impl SnapshotRing {
 
     /// Allocation-free variant of [`SnapshotRing::read_latest`]: copies
     /// the latest snapshot into `values` (cleared first, capacity
-    /// reused) and returns its epoch. Parked-mode waiters call this in
+    /// reused) and returns its epoch. Routed-mode waiters call this in
     /// their re-check loop, so steady-state self-checks allocate
     /// nothing.
     pub(crate) fn read_latest_into(

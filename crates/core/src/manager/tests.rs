@@ -792,11 +792,11 @@ fn sharded_single_data_shard_degenerates_to_change_driven() {
     assert_eq!(mgr.relay_signal(&state, &exprs, &stats), Some(pid));
 }
 
-// --- parked mode -------------------------------------------------------
+// --- routed mode: gates and validator ---------------------------------
 
 #[test]
-fn parked_routes_confined_and_spanning_predicates_to_their_gates() {
-    let (_, handles, mut mgr, stats) = shard_setup(MonitorConfig::preset(SignalMode::Parked));
+fn routed_routes_confined_and_spanning_predicates_to_their_gates() {
+    let (_, handles, mut mgr, stats) = shard_setup(MonitorConfig::preset(SignalMode::Routed));
     let (a, b) = separated_pair(&handles, &mgr);
     let confined = mgr.register_waiter(a.ge(10).into_predicate(), &stats);
     assert_eq!(
@@ -816,71 +816,17 @@ fn parked_routes_confined_and_spanning_predicates_to_their_gates() {
 }
 
 #[test]
-fn parked_relay_announces_wakes_for_affected_gates_only() {
-    let (exprs, handles, mut mgr, stats) = shard_setup(MonitorConfig::preset(SignalMode::Parked));
-    let (a, b) = separated_pair(&handles, &mgr);
-    let pid_a = mgr.register_waiter(a.ge(10).into_predicate(), &stats);
-    let pid_b = mgr.register_waiter(b.ge(10).into_predicate(), &stats);
-    let parking = mgr.parking();
-    let slot_a = Arc::new(crate::parking::ParkSlot::new());
-    let slot_b = Arc::new(crate::parking::ParkSlot::new());
-    parking.enqueue(mgr.park_gate(pid_a), Arc::clone(&slot_a), pid_a);
-    parking.enqueue(mgr.park_gate(pid_b), Arc::clone(&slot_b), pid_b);
-    // Establish the baseline diff (first diff reports all deps changed).
-    mgr.note_mutation();
-    let state = StN::default();
-    assert_eq!(mgr.relay_signal(&state, &exprs, &stats), None);
-    let mut wakes = Vec::new();
-    mgr.drain_pending_wakes(&mut wakes);
-    for &gate in &wakes {
-        parking.deliver_wake(gate as usize, 1, &stats.counters);
-    }
-    let _ = slot_a.park(Some(std::time::Instant::now())); // drain any token
-    let _ = slot_b.park(Some(std::time::Instant::now()));
-    // Mutate only a's expression: the follow-up relay must announce a
-    // wake for a's gate (and the always-woken global gate — empty, so
-    // skipped) but not for b's.
-    let before = counted(&mut mgr, &stats);
-    let mut state = StN::default();
-    state.values[a.id().index()] = 3;
-    mgr.note_mutation();
-    assert_eq!(
-        mgr.relay_signal(&state, &exprs, &stats),
-        None,
-        "a parked relay never picks a winner"
-    );
-    let epoch = mgr.drain_pending_wakes(&mut wakes);
-    assert_eq!(wakes, vec![mgr.park_gate(pid_a) as u32]);
-    for &gate in &wakes {
-        parking.deliver_wake(gate as usize, epoch, &stats.counters);
-    }
-    assert_eq!(
-        slot_a.park(None),
-        crate::parking::ParkOutcome::Woken { epoch },
-        "the affected gate's waiter is unparked"
-    );
-    assert_eq!(
-        slot_b.park(Some(std::time::Instant::now())),
-        crate::parking::ParkOutcome::TimedOut,
-        "the unaffected gate's waiter sleeps on"
-    );
-    let diff = counted(&mut mgr, &stats).since(&before);
-    assert_eq!(diff.unparks, 1);
-    assert_eq!(diff.pred_evals, 0, "the signaler evaluated no predicate");
-}
-
-#[test]
-fn parked_unmutated_relay_skips_and_wakes_no_one() {
-    let (exprs, handles, mut mgr, stats) = shard_setup(MonitorConfig::preset(SignalMode::Parked));
+fn routed_unmutated_relay_skips_and_wakes_no_one() {
+    let (exprs, handles, mut mgr, stats) = shard_setup(MonitorConfig::preset(SignalMode::Routed));
     mgr.register_waiter(handles[0].ge(10).into_predicate(), &stats);
     mgr.note_mutation();
     let state = StN::default();
     mgr.relay_signal(&state, &exprs, &stats);
     let mut wakes = Vec::new();
-    mgr.drain_pending_wakes(&mut wakes);
+    mgr.drain_routed_wakes(&mut wakes);
     let before = counted(&mut mgr, &stats);
     mgr.relay_signal(&state, &exprs, &stats);
-    mgr.drain_pending_wakes(&mut wakes);
+    mgr.drain_routed_wakes(&mut wakes);
     assert!(wakes.is_empty());
     let diff = counted(&mut mgr, &stats).since(&before);
     assert_eq!(diff.relay_skips, 1);
@@ -888,21 +834,21 @@ fn parked_unmutated_relay_skips_and_wakes_no_one() {
 }
 
 #[test]
-#[should_panic(expected = "parking protocol violated")]
-fn parked_validator_catches_a_lost_wakeup() {
+#[should_panic(expected = "wake routing violated")]
+fn routed_validator_catches_a_lost_token() {
     // Forge the bug the validator exists for: a waiter parked on the
-    // WRONG gate. The relay wakes only the gates its diff says are
-    // affected, so the mis-parked waiter sleeps through a mutation
+    // WRONG gate. The relay announces wakes only where its diff says
+    // they are due, so the mis-parked waiter sleeps through a mutation
     // that made its predicate true — and the armed validator must
     // catch it at that very relay. (The parked helper thread is
     // intentionally leaked; the panic is the test's success.)
-    let (exprs, handles, mut mgr, stats) = shard_setup(MonitorConfig::preset(SignalMode::Parked));
+    let (exprs, handles, mut mgr, stats) = shard_setup(MonitorConfig::preset(SignalMode::Routed));
     let (a, b) = separated_pair(&handles, &mgr);
     let pid = mgr.register_waiter(a.ge(10).into_predicate(), &stats);
     let wrong_gate = mgr.router.shard_of_expr(b.id());
-    let parking = mgr.parking();
     let slot = Arc::new(crate::parking::ParkSlot::new());
-    parking.enqueue(wrong_gate, Arc::clone(&slot), pid);
+    mgr.wake_lot()
+        .enqueue(wrong_gate, BucketKey::Slot(0), Arc::clone(&slot), pid);
     let parked = Arc::clone(&slot);
     std::thread::spawn(move || {
         let _ = parked.park(None);

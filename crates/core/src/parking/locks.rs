@@ -1,12 +1,8 @@
 //! Per-shard locks with contention accounting.
 //!
-//! Each [gate](super::ParkingLot) — and, through it, each shard of the
-//! sharded condition manager — owns one of these. The lock is what a
-//! parked waiter takes to leave its wait queue (the *claim* step) and
-//! what a `Sharded`-mode relay takes around an index probe: the route
-//! validator proves each data shard's candidates depend only on
-//! expressions the shard owns, so the per-shard lock is sufficient for
-//! the index access and the two sides share one locking discipline.
+//! Each routed wake gate owns one of these. The lock is what a parked
+//! waiter takes to join or leave its gate's queue (the *claim* step)
+//! and what a relay's wake delivery takes to unpark a bucket.
 //!
 //! Contention is counted rather than timed: an acquisition that could
 //! not take the lock on the first try bumps `contended`, giving tests

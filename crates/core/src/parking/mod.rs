@@ -1,266 +1,24 @@
-//! The waiter-side parking subsystem (`autosynch_park`).
+//! Waiter-side parking primitives shared by the routed wake gates and
+//! the async waiters.
 //!
 //! AutoSynch's pitch is taking predicate work off the signaler's
-//! critical path; the sharded manager (PR 2) pruned the *work* but
-//! every probe still ran under the one monitor mutex. This module moves
-//! the re-check to the waiter, Expresso-style (Ferles et al., PLDI
-//! 2018): the monitor owns one [`ParkingLot`] with a **gate** per
-//! dependency shard (plus the trailing global gate), and each gate is a
-//! [per-shard lock](locks) guarding a [wait queue](waitq) of
-//! [park tokens](park).
+//! critical path. The routed mode moves the re-check to the waiter,
+//! Expresso-style (Ferles et al., PLDI 2018): a waiter parks on a
+//! private [park token](park), every wakeup runs a lock-free
+//! [re-check](recheck) against the snapshot ring, a decidable `false`
+//! re-parks without taking *any* lock, and only a maybe-true verdict
+//! goes on to claim under the monitor lock. The wait queues that hold
+//! the tokens live in [`crate::wake`], each behind a contention-counting
+//! [gate lock](locks).
 //!
-//! The division of labour in `Parked` mode:
-//!
-//! * **Waiters** enqueue on the gate of the shard owning their
-//!   predicate's dependency footprint (global gate for cross-shard or
-//!   opaque conjunctions), then park on their private token — no
-//!   monitor lock held. Each wakeup runs a [re-check](recheck) against
-//!   the lock-free snapshot ring; a decidable `false` re-parks without
-//!   taking *any* lock, and only a maybe-true verdict takes the shard
-//!   lock (to leave the queue) and then the monitor lock (to
-//!   confirm-and-claim).
-//! * **Signalers** never evaluate a waiter's predicate. An exit path
-//!   diffs the expression snapshot, publishes the new epoch into the
-//!   ring, and unparks the queues of the affected gates — data gates
-//!   whose owned expressions changed, the global gate on any mutation.
-//!
-//! The no-lost-wakeup argument lives in `DESIGN.md` ("Parking
+//! The no-lost-wakeup argument lives in `DESIGN.md` ("Wake routing
 //! soundness"); its load-bearing mechanics are that waiters stay
-//! enqueued while re-checking (see [`waitq`]) and that unpark tokens
-//! are sticky and epoch-stamped (see [`park`]). The condition manager's
-//! protocol validator re-proves the invariant after every relay when
-//! `validate_relay` is armed.
+//! enqueued while re-checking and that unpark tokens are sticky and
+//! epoch-stamped (see [`park`]).
 
 pub(crate) mod locks;
 pub(crate) mod park;
 pub(crate) mod recheck;
-pub(crate) mod waitq;
 
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::Arc;
-
-use autosynch_metrics::counters::SyncCounters;
-use parking_lot::MutexGuard;
-
-use crate::eq_index::PredId;
-
-use locks::ShardLock;
 pub(crate) use park::{ParkOutcome, ParkSlot};
 pub(crate) use recheck::{snapshot_verdict, Verdict};
-use waitq::WaitQueue;
-
-/// A waiter's position in a gate's queue, held for the lifetime of one
-/// wait and needed to claim or cancel.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ParkTicket {
-    gate: u32,
-    node: u32,
-}
-
-/// One per-shard gate: the shard's lock and its wait queue.
-#[derive(Debug, Default)]
-struct Gate {
-    queue: ShardLock<WaitQueue>,
-    /// Lock-free mirror of the queue length, so a relay can skip empty
-    /// gates without taking their locks.
-    len: AtomicUsize,
-    /// Wake deliveries stashed under the monitor lock but not yet
-    /// performed: the relay only *announces* the wake; the signaler
-    /// delivers the unparks **after releasing the monitor lock**, so
-    /// the per-slot token handoffs never extend the critical section.
-    /// A nonzero count covers the gate's waiters for the protocol
-    /// validator exactly like a pending token does — delivery is
-    /// guaranteed before the signaler runs any further user code.
-    pending_deliveries: AtomicU32,
-}
-
-/// The monitor-wide parking structure: one gate per shard slot (data
-/// shards first, global gate last, mirroring the shard layout of the
-/// condition manager).
-#[derive(Debug, Default)]
-pub(crate) struct ParkingLot {
-    gates: Vec<Gate>,
-}
-
-impl ParkingLot {
-    /// Creates a lot with `gates` gates (0 for modes without parking).
-    pub(crate) fn new(gates: usize) -> Self {
-        ParkingLot {
-            gates: (0..gates).map(|_| Gate::default()).collect(),
-        }
-    }
-
-    /// Number of gates (shard slots).
-    pub(crate) fn gate_count(&self) -> usize {
-        self.gates.len()
-    }
-
-    /// Enqueues a waiter on `gate`. Callers hold the monitor lock, so
-    /// enqueue serializes with every publish (a waiter is either in the
-    /// queue before a publish stashes its wake, or registered against
-    /// the already-mutated state).
-    pub(crate) fn enqueue(&self, gate: usize, slot: Arc<ParkSlot>, pid: PredId) -> ParkTicket {
-        let g = &self.gates[gate];
-        let node = g.queue.lock().push_back(slot, pid);
-        g.len.fetch_add(1, Ordering::Relaxed);
-        ParkTicket {
-            gate: gate as u32,
-            node,
-        }
-    }
-
-    /// Removes a waiter from its queue (claim or cancel). Takes only
-    /// the shard's lock — this is the "confirm-and-claim" acquisition a
-    /// maybe-true waiter performs before touching the monitor lock.
-    pub(crate) fn dequeue(&self, ticket: ParkTicket) {
-        let g = &self.gates[ticket.gate as usize];
-        g.queue.lock().remove(ticket.node);
-        g.len.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Whether `gate` has any enqueued waiter, without taking its lock.
-    /// The relay uses this to stash wakes only for populated gates.
-    pub(crate) fn has_waiters(&self, gate: usize) -> bool {
-        self.gates[gate].len.load(Ordering::Relaxed) > 0
-    }
-
-    /// Announces (under the monitor lock) that a wake of `gate` will be
-    /// delivered once the signaler has released the lock. Until
-    /// [`ParkingLot::deliver_wake`] runs, the announcement covers the
-    /// gate's waiters for the protocol validator.
-    pub(crate) fn announce_wake(&self, gate: usize) {
-        self.gates[gate]
-            .pending_deliveries
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Delivers a previously announced wake: unparks every waiter
-    /// enqueued on `gate`, stamping `epoch`, then retires the
-    /// announcement. Called **without** the monitor lock. Returns how
-    /// many tokens were handed out.
-    pub(crate) fn deliver_wake(&self, gate: usize, epoch: u64, counters: &SyncCounters) -> usize {
-        let woken = self.wake_gate(gate, epoch, counters);
-        self.gates[gate]
-            .pending_deliveries
-            .fetch_sub(1, Ordering::Relaxed);
-        woken
-    }
-
-    /// Unparks every waiter enqueued on `gate`, stamping `epoch`.
-    /// Returns how many tokens were handed out.
-    pub(crate) fn wake_gate(&self, gate: usize, epoch: u64, counters: &SyncCounters) -> usize {
-        let queue = self.gates[gate].queue.lock();
-        let mut woken = 0;
-        queue.for_each(|slot, _| {
-            counters.record_unpark();
-            slot.unpark(epoch);
-            woken += 1;
-        });
-        woken
-    }
-
-    /// Number of waiters enqueued on `gate`.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn queued(&self, gate: usize) -> usize {
-        self.gates[gate].queue.lock().len()
-    }
-
-    /// Total waiters enqueued across all gates.
-    pub(crate) fn queued_total(&self) -> usize {
-        self.gates.iter().map(|g| g.queue.lock().len()).sum()
-    }
-
-    /// Locks `gate`'s shard lock for the duration of an index probe
-    /// (`Sharded` mode): the route validator proves the shard's
-    /// candidates depend only on expressions the shard owns, so the
-    /// per-shard lock covers the access.
-    pub(crate) fn probe_guard(&self, gate: usize) -> Option<MutexGuard<'_, WaitQueue>> {
-        self.gates.get(gate).map(|g| g.queue.lock())
-    }
-
-    /// The no-lost-wakeup audit: returns the gate index of an enqueued
-    /// waiter of `pid` that is parked without a pending unpark token
-    /// and without an undelivered wake announced for its gate — `None`
-    /// when every such waiter is covered. Called by the protocol
-    /// validator for entries whose predicate is currently true.
-    pub(crate) fn uncovered(&self, pid: PredId) -> Option<usize> {
-        for (gate_idx, gate) in self.gates.iter().enumerate() {
-            if gate.pending_deliveries.load(Ordering::Relaxed) > 0 {
-                continue; // a wake of this whole gate is in flight
-            }
-            let queue = gate.queue.lock();
-            let mut bare = false;
-            queue.for_each(|slot, node_pid| {
-                if node_pid == pid && !slot.covered() {
-                    bare = true;
-                }
-            });
-            if bare {
-                return Some(gate_idx);
-            }
-        }
-        None
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::slab::Slab;
-
-    #[test]
-    fn wake_gate_unparks_every_enqueued_waiter() {
-        let mut slab: Slab<u8> = Slab::new();
-        let pid = slab.insert(0);
-        let lot = ParkingLot::new(3);
-        let slots: Vec<Arc<ParkSlot>> = (0..4).map(|_| Arc::new(ParkSlot::new())).collect();
-        let tickets: Vec<ParkTicket> = slots
-            .iter()
-            .map(|s| lot.enqueue(1, Arc::clone(s), pid))
-            .collect();
-        let counters = SyncCounters::new();
-        assert_eq!(lot.wake_gate(0, 5, &counters), 0, "other gates untouched");
-        assert_eq!(lot.wake_gate(1, 5, &counters), 4);
-        assert_eq!(counters.snapshot().unparks, 4);
-        for slot in &slots {
-            assert_eq!(slot.park(None), ParkOutcome::Woken { epoch: 5 });
-        }
-        // A wake does not dequeue; claims do.
-        assert_eq!(lot.queued(1), 4);
-        for ticket in tickets {
-            lot.dequeue(ticket);
-        }
-        assert_eq!(lot.queued_total(), 0);
-    }
-
-    #[test]
-    fn uncovered_finds_bare_parked_waiters() {
-        let mut slab: Slab<u8> = Slab::new();
-        let pid = slab.insert(0);
-        let other = slab.insert(1);
-        let lot = ParkingLot::new(2);
-        let slot = Arc::new(ParkSlot::new());
-        let ticket = lot.enqueue(0, Arc::clone(&slot), pid);
-        // The waiter has not parked yet: it is awake, hence covered.
-        assert_eq!(lot.uncovered(pid), None);
-        assert_eq!(lot.uncovered(other), None, "other pids are not audited");
-        let slot2 = Arc::clone(&slot);
-        let parked = std::thread::spawn(move || slot2.park(None));
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        // Now it is parked with no token: bare.
-        assert_eq!(lot.uncovered(pid), Some(0));
-        let counters = SyncCounters::new();
-        lot.wake_gate(0, 1, &counters);
-        assert_eq!(lot.uncovered(pid), None, "token pending covers it");
-        parked.join().unwrap();
-        lot.dequeue(ticket);
-    }
-
-    #[test]
-    fn probe_guard_is_bounded_by_gate_count() {
-        let lot = ParkingLot::new(2);
-        assert!(lot.probe_guard(1).is_some());
-        assert!(lot.probe_guard(2).is_none());
-        assert_eq!(lot.gate_count(), 2);
-    }
-}

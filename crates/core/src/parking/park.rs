@@ -9,8 +9,8 @@
 //!   `pending` flag; `park` consumes the flag *before* blocking, so an
 //!   unpark that lands between "decide to sleep" and "actually asleep"
 //!   turns the park into an immediate return.
-//! * **No lost wakeup while re-checking.** A parked-mode waiter stays
-//!   in its shard's wait queue while it runs a lock-free snapshot
+//! * **No lost wakeup while re-checking.** A routed waiter stays in
+//!   its gate's wait queue while it runs a lock-free snapshot
 //!   re-check. If a signaler publishes a newer epoch mid-check, its
 //!   queue wake sets `pending` again and the waiter's next `park`
 //!   returns immediately with the newer epoch — the re-check loop can

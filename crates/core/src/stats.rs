@@ -121,7 +121,7 @@ impl MonitorStats {
 /// Accumulated signaler-lock hold time: the in-lock duration of every
 /// relay call (snapshot diffing, index probing, queue wakes — everything
 /// the signaler does for *other* threads while occupying the monitor).
-/// The parked mode exists to shrink this number: its relay neither
+/// The routed mode exists to shrink this number: its relay neither
 /// probes indexes nor evaluates waiters' predicates.
 ///
 /// Besides the mean (`nanos`/`holds`), every record also lands in a

@@ -72,7 +72,7 @@ pub enum EventKind {
     /// (`wait_async`) registration, 0 for a thread-backed one. The
     /// matching [`EventKind::WaitResolved`] closes the span.
     WaitRegistered = 4,
-    /// A waiter committed to blocking: a parked/routed waiter on its
+    /// A waiter committed to blocking: a routed waiter on its
     /// park slot, or a condvar-mode waiter on its entry's condition
     /// variable. `a` = wake epoch already observed at park time (0 in
     /// condvar mode, which has no published epochs). `b` = the wait id
@@ -84,8 +84,8 @@ pub enum EventKind {
     /// the span stitcher uses to split blocked time from the
     /// relay-to-wake gap.
     Unpark = 6,
-    /// A woken waiter re-checked its own predicate: a parked/routed
-    /// waiter against the lock-free snapshot ring, or a condvar-mode
+    /// A woken waiter re-checked its own predicate: a routed waiter
+    /// against the lock-free snapshot ring, or a condvar-mode
     /// waiter against the live state under the monitor lock. `a` = 1
     /// if the predicate may hold (the waiter proceeds to claim), 0 for
     /// a false/futile wakeup. `b` = snapshot epoch checked against (0

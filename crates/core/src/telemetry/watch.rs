@@ -125,8 +125,8 @@ impl Default for WatchConfig {
 /// The smoothed per-window health signals.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct HealthSignals {
-    /// Fraction of waiter wakes (condvar returns and parked/routed
-    /// wake deliveries) whose predicate was still false.
+    /// Fraction of waiter wakes (condvar returns and routed wake
+    /// deliveries) whose predicate was still false.
     pub false_wakeup_rate: f64,
     /// Unparks issued per relay call — the fan-out each signaling pass
     /// pays.
@@ -439,8 +439,8 @@ impl Watcher {
         let seq = state.seq;
 
         // Windowed rates. `wakeups` already counts every wake in every
-        // discipline — condvar returns and parked/routed wake
-        // deliveries both record it (the latter additionally record a
+        // discipline — condvar returns and routed wake deliveries
+        // both record it (the latter additionally record a
         // waiter self-check, so adding `waiter_self_checks` here would
         // double-count parked wakes and cap the herd factor near 2).
         let dt = window.as_secs_f64().max(1e-6);

@@ -34,7 +34,7 @@
 //!
 //! With `Monitor::enter_tracked`, every occupancy's writes are named
 //! automatically — the precise diffs of the `ChangeDriven`, `Sharded`
-//! and `Parked` modes become the default on every workload instead of an
+//! and `Routed` modes become the default on every workload instead of an
 //! opt-in for careful callers.
 
 use std::fmt;

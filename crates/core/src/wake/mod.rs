@@ -1,13 +1,13 @@
 //! Targeted wake routing (`SignalMode::Routed`): slot-ordered token
 //! sweeps and eq-index-directed unparks.
 //!
-//! The parking subsystem (PR 3) got the signaler off the hot path by
-//! broadcasting per-gate wakes and letting waiters self-check; the cost
-//! is the self-check herd — on fig11's round robin every exit wakes all
-//! N parked waiters so that exactly one can proceed. This module is the
-//! precision upgrade, built on the observation (ROADMAP, re-scoped
-//! against the v2 API) that a compiled condition is a *stable identity
-//! for a waiting population*: every parked waiter of a `Cond` shares
+//! Letting waiters self-check against the snapshot ring gets the
+//! signaler off the hot path; broadcasting per-gate wakes to them
+//! would cost a self-check herd — on fig11's round robin every exit
+//! would wake all N parked waiters so that exactly one can proceed.
+//! This module targets the wakes instead, built on the observation
+//! that a compiled condition is a *stable identity for a waiting
+//! population*: every parked waiter of a `Cond` shares
 //! one pinned predicate-table entry, one gate, and now one **bucket**.
 //!
 //! Three mechanisms, in escalating precision:
@@ -20,8 +20,7 @@
 //!    only the first unobserved waiter; a false self-check forwards the
 //!    token, a futile claim forwards it, a successful claimer
 //!    re-injects it at monitor exit. The signaler's critical section
-//!    stays index-probe-free exactly as in parked mode — it only
-//!    *announces*; all token traffic runs on waiter threads after the
+//!    stays index-probe-free — it only *announces*; all token traffic runs on waiter threads after the
 //!    monitor lock is released.
 //! 3. **Eq-index-directed unparks** ([`route`]) — for
 //!    equivalence-shaped compiled conditions the relay maps the freshly
@@ -155,14 +154,14 @@ struct WakeGate {
     /// broadcasts are announced only when slotless waiters exist.
     transient_len: AtomicUsize,
     /// Wake deliveries stashed under the monitor lock but not yet
-    /// performed (the parked mode's announce/deliver split): a nonzero
+    /// performed (the announce/deliver split): a nonzero
     /// count covers the gate's waiters for the protocol validator.
     pending_deliveries: AtomicU32,
 }
 
 /// The monitor-wide routed-wake structure: one gate per shard slot
-/// (data shards first, global gate last), mirroring the parking lot's
-/// layout.
+/// (data shards first, global gate last), mirroring the condition
+/// manager's shard layout.
 #[derive(Debug)]
 pub(crate) struct WakeLot {
     gates: Vec<WakeGate>,

@@ -2,8 +2,8 @@
 //! buckets whose waiters can have flipped.
 //!
 //! The router is the signaler-side half of the routed mode's bargain.
-//! The parked mode's relay only had gate-granular knowledge ("some
-//! owned expression changed"), so it had to wake whole gates. Compiled
+//! A relay that only had gate-granular knowledge ("some owned
+//! expression changed") would have to wake whole gates. Compiled
 //! conditions give the relay a stable identity per waiting population —
 //! the `Cond` slot — and the router indexes those identities two ways:
 //!
@@ -31,7 +31,7 @@
 //!
 //! Slots whose conjunctions route to the **global gate** (cross-shard,
 //! opaque, dependency-free) are registered as global and left to the
-//! gate's parked-style broadcast — the router never needs to reason
+//! gate's broadcast — the router never needs to reason
 //! about them, which is exactly what makes the data-gate registrations
 //! complete: a data-gate slot's dependencies are confined to its shard
 //! (re-proved by the route validator), so registering its dependency
@@ -47,15 +47,15 @@ use super::ladder::ThresholdLadder;
 
 /// One announced-but-undelivered routed wake. The relay announces under
 /// the monitor lock; the monitor drains and delivers after releasing it
-/// (the parked mode's announce/deliver split, kept verbatim).
+/// (the announce/deliver split).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum RoutedWake {
     /// Broadcast every waiter of the gate (the global gate's
     /// conservative wake — its waiters may depend on anything).
     Gate(u32),
     /// Broadcast only the gate's transient bucket: slotless (per-call /
-    /// `wait_transient`) waiters keep the parked mode's gate-broadcast
-    /// semantics because they have no stable bucket identity.
+    /// `wait_transient`) waiters get a gate-wide broadcast because they
+    /// have no stable bucket identity.
     Transient(u32),
     /// Start a token sweep of one slot bucket: unpark the first waiter
     /// that has not observed the delivery epoch.

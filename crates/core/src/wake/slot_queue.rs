@@ -2,12 +2,10 @@
 //! slot, a bounded LRU of graduated per-predicate buckets for
 //! repeating transient waiters, plus a broadcast bucket for the rest.
 //!
-//! This is the routed-mode successor of the parking subsystem's flat
-//! [`WaitQueue`](crate::parking::waitq::WaitQueue): waiters still stay
-//! linked for the whole park/re-check loop (the no-lost-wakeup
-//! mechanics are unchanged), but membership is keyed by the waiter's
-//! compiled-condition slot so a wake can name a *bucket* instead of the
-//! whole gate:
+//! Waiters stay linked for the whole park/re-check loop (the
+//! no-lost-wakeup mechanics of [`ParkSlot`](crate::parking::ParkSlot)),
+//! and membership is keyed by the waiter's compiled-condition slot so a
+//! wake can name a *bucket* instead of the whole gate:
 //!
 //! * [`SlotQueue::wake_next`] starts or continues a **token sweep**: it
 //!   unparks the first bucket waiter that has not yet observed the
@@ -22,8 +20,8 @@
 //!   (linked waiters or an in-flight claimer) is pinned, so an evicted
 //!   key's waiters cannot exist and nobody strands.
 //! * [`SlotQueue::wake_transient`] broadcasts the transient bucket —
-//!   waiters who stayed slotless have no bucket identity, so they keep
-//!   the parked mode's gate-broadcast semantics (documented on
+//!   waiters who stayed slotless have no bucket identity, so they get
+//!   a gate-wide broadcast (documented on
 //!   `MonitorGuard::wait_transient`). The caller additionally sweeps
 //!   each non-empty graduated bucket (one unpark, not the herd).
 //!

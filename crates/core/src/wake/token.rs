@@ -1,7 +1,7 @@
 //! The sweep token: the routed mode's waiter-side relay baton.
 //!
-//! Where the parked mode broadcasts a gate and lets the whole herd
-//! self-check, the routed mode circulates **one token per bucket wake**:
+//! Where a gate broadcast would let the whole herd self-check, the
+//! routed mode circulates **one token per bucket wake**:
 //! the signaler unparks only the bucket head, and responsibility for
 //! the wake then travels waiter-to-waiter —
 //!

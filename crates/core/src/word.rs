@@ -14,7 +14,7 @@
 //! * **presence** (bits 1–31) — the number of threads currently inside
 //!   the *slow-lane* protocol: every mutex-path occupancy holds one
 //!   presence unit from enter to exit, **including while blocked in a
-//!   wait** (condvar, parked, or routed). Because registered waiters
+//!   wait** (condvar or routed). Because registered waiters
 //!   keep their presence unit, `presence == 0` certifies that no waiter
 //!   exists and no relay work can be pending — the quiescence the fast
 //!   lane requires.
@@ -40,8 +40,8 @@
 //!   mutex-protected write visible to the next successful fast CAS,
 //!   which loads with `Acquire`.
 //!
-//! Threads that re-lock the mutex mid-occupancy (condvar wake, parked
-//! re-entry, routed claim) still hold their presence unit, so they never
+//! Threads that re-lock the mutex mid-occupancy (condvar wake, routed
+//! claim) still hold their presence unit, so they never
 //! need to consult the word again: an elided holder cannot coexist with
 //! them.
 

@@ -198,7 +198,7 @@ fn wait_transient_timeout_zero_is_a_nonblocking_check() {
 /// absorbing it would strand the second waiter below even though its
 /// predicate is true.
 #[test]
-fn signaled_reader_passes_the_baton_under_skip_clean_ablation() {
+fn signaled_reader_passes_the_baton() {
     let monitor = Arc::new(Monitor::new(Counter { value: 0 }));
     let value = monitor.register_expr("value", |s| s.value);
 
@@ -245,7 +245,7 @@ fn signaled_reader_passes_the_baton_under_skip_clean_ablation() {
 /// consumed a signal owes no relay and runs none, while one that called
 /// `state_mut` does.
 #[test]
-fn unsignaled_reader_skips_relay_under_skip_clean_ablation() {
+fn unsignaled_reader_skips_relay() {
     // fast_path(false) pins the slow (mutex) lane: this test asserts
     // relay policy on slow-path exits, and an elided uncontended enter
     // would legitimately skip the relay either way.

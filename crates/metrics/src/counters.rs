@@ -49,7 +49,7 @@ pub struct SyncCounters {
     signals: AtomicU64,
     broadcasts: AtomicU64,
     // Shared although the condvar wait loop counts it under the mutex:
-    // the parked and routed loops count it after `park` returns, without
+    // the routed loop counts it after `park` returns, without
     // the monitor, and one field takes one kind of write.
     wakeups: AtomicU64,
     futile_wakeups: AtomicU64,
@@ -225,12 +225,12 @@ impl SyncCounters {
         /// A lock-free snapshot-ring read whose seqlock validation failed
         /// and had to retry (a writer published mid-read).
         record_ring_retry => ring_retries,
-        /// A parked waiter was unparked by a signaler's exit path (parked
+        /// A parked waiter was unparked by a signaler's exit path (routed
         /// mode). Unlike `signals`, the signaler did not evaluate the
         /// waiter's predicate — the waiter re-checks it itself.
         record_unpark => unparks,
         /// A parked waiter re-evaluated its own predicate against the
-        /// lock-free snapshot ring after an unpark (parked mode) — work
+        /// lock-free snapshot ring after an unpark (routed mode) — work
         /// that every other mode performs inside the signaler's critical
         /// section.
         record_waiter_self_check => waiter_self_checks,

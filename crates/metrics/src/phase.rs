@@ -34,8 +34,8 @@ pub enum Phase {
     /// plan (sharded mode only; an extension column beyond the paper).
     ShardRoute,
     /// A parked waiter re-checking its own predicate against the
-    /// lock-free snapshot ring (parked mode only) — the predicate work
-    /// the parking subsystem moves *out* of the signaler's critical
+    /// lock-free snapshot ring (routed mode only) — the predicate work
+    /// waiter-side parking moves *out* of the signaler's critical
     /// section and onto the waiter.
     ParkRecheck,
     /// Everything else spent inside monitor functions.

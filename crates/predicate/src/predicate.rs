@@ -194,7 +194,7 @@ impl<S> Predicate<S> {
     /// (`values` indexed by [`crate::expr::ExprId::index`], `None` for
     /// expressions the snapshot does not carry): `Some(true)` /
     /// `Some(false)` when the snapshot decides the predicate, `None`
-    /// when it cannot (opaque literals or missing values). Parked-mode
+    /// when it cannot (opaque literals or missing values). Routed-mode
     /// waiters use this for their lock-free self-checks; a `None`
     /// verdict falls back to evaluation under the monitor lock.
     pub fn eval_snapshot(&self, values: &[Option<i64>]) -> Option<bool> {

@@ -257,7 +257,6 @@ pub fn make_buffer(mechanism: Mechanism, capacity: usize) -> Arc<dyn BoundedBuff
         | Mechanism::AutoSynch
         | Mechanism::AutoSynchCD
         | Mechanism::AutoSynchShard
-        | Mechanism::AutoSynchPark
         | Mechanism::AutoSynchRoute => Arc::new(AutoSynchBoundedBuffer::new(capacity, mechanism)),
     }
 }

@@ -247,7 +247,6 @@ pub fn make_table(mechanism: Mechanism) -> Arc<dyn SmokersTable> {
         | Mechanism::AutoSynch
         | Mechanism::AutoSynchCD
         | Mechanism::AutoSynchShard
-        | Mechanism::AutoSynchPark
         | Mechanism::AutoSynchRoute => Arc::new(AutoSynchTable::new(mechanism)),
     }
 }

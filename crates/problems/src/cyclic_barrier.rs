@@ -209,7 +209,6 @@ pub fn make_barrier(mechanism: Mechanism, parties: usize) -> Arc<dyn CyclicBarri
         | Mechanism::AutoSynch
         | Mechanism::AutoSynchCD
         | Mechanism::AutoSynchShard
-        | Mechanism::AutoSynchPark
         | Mechanism::AutoSynchRoute => Arc::new(AutoSynchBarrier::new(parties, mechanism)),
     }
 }

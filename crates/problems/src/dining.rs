@@ -228,7 +228,6 @@ pub fn make_table(mechanism: Mechanism, n: usize) -> Arc<dyn DiningTable> {
         | Mechanism::AutoSynch
         | Mechanism::AutoSynchCD
         | Mechanism::AutoSynchShard
-        | Mechanism::AutoSynchPark
         | Mechanism::AutoSynchRoute => Arc::new(AutoSynchTable::new(n, mechanism)),
     }
 }

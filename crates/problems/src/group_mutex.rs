@@ -270,7 +270,6 @@ pub fn make_room(mechanism: Mechanism, forums: usize) -> Arc<dyn ForumRoom> {
         | Mechanism::AutoSynch
         | Mechanism::AutoSynchCD
         | Mechanism::AutoSynchShard
-        | Mechanism::AutoSynchPark
         | Mechanism::AutoSynchRoute => Arc::new(AutoSynchForumRoom::new(forums, mechanism)),
     }
 }

@@ -228,7 +228,6 @@ pub fn make_vessel(mechanism: Mechanism) -> Arc<dyn WaterVessel> {
         | Mechanism::AutoSynch
         | Mechanism::AutoSynchCD
         | Mechanism::AutoSynchShard
-        | Mechanism::AutoSynchPark
         | Mechanism::AutoSynchRoute => Arc::new(AutoSynchVessel::new(mechanism)),
     }
 }

@@ -32,7 +32,7 @@
 //!
 //! A fourteenth, [`wake_storm`] (K hot expressions × N waiters each,
 //! channels advancing out of phase), is the showcase for targeted wake
-//! routing: parked-mode gate broadcasts pay an `O(K · N)` self-check
+//! routing: gate-broadcast wakes would pay an `O(K · N)` self-check
 //! herd per wave of advances, while the routed mode's eq-index maps
 //! each published value to the single slot that can proceed.
 //!

@@ -37,20 +37,15 @@ pub enum Mechanism {
     /// batched relays and a lock-free snapshot ring — the scaling
     /// extension layered on top of AutoSynch-CD.
     AutoSynchShard,
-    /// Waiter-parked AutoSynch (`autosynch_park`): per-shard wait
-    /// queues and locks; a signaler's exit only publishes the diff
-    /// epoch into the snapshot ring and unparks the affected gates,
-    /// while waiters re-check their own predicates against the ring
-    /// without the monitor lock — the critical-section-shrinking
-    /// extension layered on top of AutoSynch-Shard.
-    AutoSynchPark,
-    /// Routed-wake AutoSynch (`SignalMode::Routed`): the parked
-    /// machinery with slot-bucketed wait queues, per-bucket token
-    /// sweeps (waiter-forwarded, claimer-re-injected), and
-    /// eq-index-directed single unparks for equivalence-shaped
-    /// compiled conditions — the wake-precision extension layered on
-    /// top of AutoSynch-Park, collapsing its self-check herds into
-    /// targeted wakes.
+    /// Routed-wake AutoSynch (`SignalMode::Routed`): waiters park on
+    /// slot-bucketed per-shard wait queues and re-check their own
+    /// predicates against the snapshot ring without the monitor lock;
+    /// a signaler's exit only publishes the diff epoch and announces
+    /// targeted wakes — per-bucket token sweeps (waiter-forwarded,
+    /// claimer-re-injected) and eq-index-directed single unparks for
+    /// equivalence-shaped compiled conditions. The
+    /// critical-section-shrinking extension layered on top of
+    /// AutoSynch-Shard.
     AutoSynchRoute,
 }
 
@@ -59,14 +54,13 @@ impl Mechanism {
     /// this reproduction's extensions. Sweeps and cross-mechanism tests
     /// iterate this — extensions must appear here or they are silently
     /// skipped. For exactly the paper's legend use [`Mechanism::PAPER`].
-    pub const ALL: [Mechanism; 8] = [
+    pub const ALL: [Mechanism; 7] = [
         Mechanism::Explicit,
         Mechanism::Baseline,
         Mechanism::AutoSynchT,
         Mechanism::AutoSynch,
         Mechanism::AutoSynchCD,
         Mechanism::AutoSynchShard,
-        Mechanism::AutoSynchPark,
         Mechanism::AutoSynchRoute,
     ];
 
@@ -81,23 +75,21 @@ impl Mechanism {
 
     /// Everything plotted in Figs. 11–13 (baseline off the chart), plus
     /// the extensions.
-    pub const WITHOUT_BASELINE: [Mechanism; 7] = [
+    pub const WITHOUT_BASELINE: [Mechanism; 6] = [
         Mechanism::Explicit,
         Mechanism::AutoSynchT,
         Mechanism::AutoSynch,
         Mechanism::AutoSynchCD,
         Mechanism::AutoSynchShard,
-        Mechanism::AutoSynchPark,
         Mechanism::AutoSynchRoute,
     ];
 
     /// The automatic-signal family the runtime implements.
-    pub const AUTOMATIC: [Mechanism; 6] = [
+    pub const AUTOMATIC: [Mechanism; 5] = [
         Mechanism::AutoSynchT,
         Mechanism::AutoSynch,
         Mechanism::AutoSynchCD,
         Mechanism::AutoSynchShard,
-        Mechanism::AutoSynchPark,
         Mechanism::AutoSynchRoute,
     ];
 
@@ -110,7 +102,6 @@ impl Mechanism {
             Mechanism::AutoSynch => "AutoSynch",
             Mechanism::AutoSynchCD => "AutoSynch-CD",
             Mechanism::AutoSynchShard => "AutoSynch-Shard",
-            Mechanism::AutoSynchPark => "AutoSynch-Park",
             Mechanism::AutoSynchRoute => "AutoSynch-Route",
         }
     }
@@ -164,7 +155,6 @@ impl Mechanism {
             Mechanism::AutoSynchT => Some(SignalMode::Untagged),
             Mechanism::AutoSynchCD => Some(SignalMode::ChangeDriven),
             Mechanism::AutoSynchShard => Some(SignalMode::Sharded),
-            Mechanism::AutoSynchPark => Some(SignalMode::Parked),
             Mechanism::AutoSynchRoute => Some(SignalMode::Routed),
             Mechanism::Explicit | Mechanism::Baseline => None,
         }
@@ -272,11 +262,9 @@ mod tests {
         // silently skip the extension mechanisms.
         assert!(Mechanism::ALL.contains(&Mechanism::AutoSynchCD));
         assert!(Mechanism::ALL.contains(&Mechanism::AutoSynchShard));
-        assert!(Mechanism::ALL.contains(&Mechanism::AutoSynchPark));
         assert!(Mechanism::ALL.contains(&Mechanism::AutoSynchRoute));
         assert!(Mechanism::WITHOUT_BASELINE.contains(&Mechanism::AutoSynchCD));
         assert!(Mechanism::WITHOUT_BASELINE.contains(&Mechanism::AutoSynchShard));
-        assert!(Mechanism::WITHOUT_BASELINE.contains(&Mechanism::AutoSynchPark));
         assert!(Mechanism::WITHOUT_BASELINE.contains(&Mechanism::AutoSynchRoute));
         assert!(!Mechanism::WITHOUT_BASELINE.contains(&Mechanism::Baseline));
         assert_eq!(Mechanism::PAPER.len(), 4, "the paper's legend is fixed");
@@ -296,7 +284,6 @@ mod tests {
             SignalMode::Untagged,
             SignalMode::ChangeDriven,
             SignalMode::Sharded,
-            SignalMode::Parked,
             SignalMode::Routed,
         ];
         for mode in all {
@@ -307,7 +294,6 @@ mod tests {
                 | SignalMode::Untagged
                 | SignalMode::ChangeDriven
                 | SignalMode::Sharded
-                | SignalMode::Parked
                 | SignalMode::Routed => {}
             }
         }

@@ -294,7 +294,6 @@ pub fn make_bridge(mechanism: Mechanism, capacity: i64) -> Arc<dyn Bridge> {
         | Mechanism::AutoSynch
         | Mechanism::AutoSynchCD
         | Mechanism::AutoSynchShard
-        | Mechanism::AutoSynchPark
         | Mechanism::AutoSynchRoute => Arc::new(AutoSynchBridge::new(capacity, mechanism)),
     }
 }

@@ -252,7 +252,6 @@ pub fn make_buffer(mechanism: Mechanism, capacity: usize) -> Arc<dyn ParamBounde
         | Mechanism::AutoSynch
         | Mechanism::AutoSynchCD
         | Mechanism::AutoSynchShard
-        | Mechanism::AutoSynchPark
         | Mechanism::AutoSynchRoute => Arc::new(AutoSynchParamBuffer::new(capacity, mechanism)),
     }
 }
@@ -297,7 +296,7 @@ pub fn run(mechanism: Mechanism, config: ParamBoundedBufferConfig) -> RunReport 
 }
 
 /// Like [`run`] but with per-phase timing (and the signaler-lock
-/// hold-time stat) enabled — the `reproduce -- park` setup.
+/// hold-time stat) enabled — the setup of the phase-reading figures.
 pub fn run_timed(mechanism: Mechanism, config: ParamBoundedBufferConfig) -> RunReport {
     run_inner(mechanism, config, true)
 }

@@ -322,7 +322,6 @@ pub fn make_rw(mechanism: Mechanism, threads: usize) -> Arc<dyn ReadersWriters> 
         | Mechanism::AutoSynch
         | Mechanism::AutoSynchCD
         | Mechanism::AutoSynchShard
-        | Mechanism::AutoSynchPark
         | Mechanism::AutoSynchRoute => Arc::new(AutoSynchRw::new(mechanism)),
     }
 }

@@ -272,7 +272,6 @@ pub fn make_ring(mechanism: Mechanism, n: usize) -> Arc<dyn RoundRobin> {
         | Mechanism::AutoSynch
         | Mechanism::AutoSynchCD
         | Mechanism::AutoSynchShard
-        | Mechanism::AutoSynchPark
         | Mechanism::AutoSynchRoute => Arc::new(AutoSynchRoundRobin::new(n, mechanism)),
     }
 }

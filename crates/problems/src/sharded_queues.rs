@@ -234,7 +234,6 @@ pub fn make_queues(mechanism: Mechanism, queues: usize, capacity: usize) -> Arc<
         | Mechanism::AutoSynch
         | Mechanism::AutoSynchCD
         | Mechanism::AutoSynchShard
-        | Mechanism::AutoSynchPark
         | Mechanism::AutoSynchRoute => {
             Arc::new(AutoSynchShardedQueues::new(queues, capacity, mechanism))
         }
@@ -276,7 +275,7 @@ pub fn run(mechanism: Mechanism, config: ShardedQueuesConfig) -> RunReport {
 }
 
 /// Like [`run`] but with per-phase timing (and the signaler-lock
-/// hold-time stat) enabled — the `reproduce -- park` setup.
+/// hold-time stat) enabled — the setup of the phase-reading figures.
 pub fn run_timed(mechanism: Mechanism, config: ShardedQueuesConfig) -> RunReport {
     run_inner(mechanism, config, true)
 }

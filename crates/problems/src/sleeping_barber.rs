@@ -281,7 +281,6 @@ pub fn make_shop(mechanism: Mechanism) -> Arc<dyn BarberShop> {
         | Mechanism::AutoSynch
         | Mechanism::AutoSynchCD
         | Mechanism::AutoSynchShard
-        | Mechanism::AutoSynchPark
         | Mechanism::AutoSynchRoute => Arc::new(AutoSynchBarberShop::new(mechanism)),
     }
 }

@@ -296,7 +296,6 @@ pub fn make_bathroom(mechanism: Mechanism, capacity: i64) -> Arc<dyn Bathroom> {
         | Mechanism::AutoSynch
         | Mechanism::AutoSynchCD
         | Mechanism::AutoSynchShard
-        | Mechanism::AutoSynchPark
         | Mechanism::AutoSynchRoute => Arc::new(AutoSynchBathroom::new(capacity, mechanism)),
     }
 }

@@ -1,5 +1,5 @@
 //! The wake-storm pattern: K hot expressions, N waiters each,
-//! adversarial signal order — the shape where broadcast parking is
+//! adversarial signal order — the shape where gate-broadcast wakes are
 //! worst and wake routing should shine (an extension beyond the
 //! paper's seven problems).
 //!
@@ -7,8 +7,8 @@
 //! channel `k` blocks on the complex equivalence predicate
 //! `chan_k == j` and then advances `chan_k`. All channels progress
 //! concurrently and out of phase, so the signal order seen by any one
-//! gate is adversarial: under `AutoSynch-Park` every advance of
-//! channel `k` broadcasts its whole gate — waking not only the `N - 1`
+//! gate is adversarial: under a gate-broadcast wake every advance of
+//! channel `k` would wake its whole gate — not only the `N - 1`
 //! wrong-turn waiters of channel `k` but also every waiter of the
 //! *other* channels that hash to the same gate (with `K` above the
 //! shard count some gates always host several channels). The herd is
@@ -239,7 +239,6 @@ pub fn make_storm(mechanism: Mechanism, channels: usize, waiters: usize) -> Arc<
         | Mechanism::AutoSynch
         | Mechanism::AutoSynchCD
         | Mechanism::AutoSynchShard
-        | Mechanism::AutoSynchPark
         | Mechanism::AutoSynchRoute => {
             Arc::new(AutoSynchWakeStorm::new(channels, waiters, mechanism))
         }
@@ -359,38 +358,16 @@ mod tests {
     }
 
     #[test]
-    fn routing_beats_parking_on_self_checks() {
-        // The acceptance shape: same storm, strictly fewer waiter
-        // self-checks under Route than under Park (the broadcast herd
-        // is the thing routing removes).
-        let cfg = WakeStormConfig {
-            channels: 4,
-            waiters: 4,
-            rounds: 80,
-        };
-        let parked = run(Mechanism::AutoSynchPark, cfg);
-        let routed = run(Mechanism::AutoSynchRoute, cfg);
-        assert!(
-            routed.stats.counters.waiter_self_checks < parked.stats.counters.waiter_self_checks,
-            "routing must cut the self-check herd: routed {} vs parked {}",
-            routed.stats.counters.waiter_self_checks,
-            parked.stats.counters.waiter_self_checks
-        );
-    }
-
-    #[test]
     fn single_waiter_channels_degenerate_cleanly() {
         // waiters == 1: every pass is the waiter's own turn; no parking
-        // at all is required, whatever the mechanism.
-        for mechanism in [Mechanism::AutoSynchRoute, Mechanism::AutoSynchPark] {
-            run(
-                mechanism,
-                WakeStormConfig {
-                    channels: 2,
-                    waiters: 1,
-                    rounds: 50,
-                },
-            );
-        }
+        // at all is required.
+        run(
+            Mechanism::AutoSynchRoute,
+            WakeStormConfig {
+                channels: 2,
+                waiters: 1,
+                rounds: 50,
+            },
+        );
     }
 }

@@ -1,23 +1,22 @@
-//! The wake storm on targeted wake routing — parked broadcasts vs
-//! eq-directed unparks, side by side.
+//! The wake storm on targeted wake routing — gate broadcasts vs
+//! eq-directed unparks, side by side, both under `SignalMode::Routed`.
 //!
 //! `K` independent round-robin channels live in one `Monitor`; waiter
-//! `j` of channel `k` blocks on the complex equivalence predicate
-//! `chan_k == j` and then advances the channel. All channels progress
-//! out of phase, so under `SignalMode::Parked` every advance broadcasts
-//! a whole gate: the `N - 1` wrong-turn waiters of the advanced channel
-//! *and* every co-gated waiter of the other channels all wake, read the
-//! snapshot ring, find their predicate false, and go back to sleep —
-//! the `O(K · N)` self-check herd.
+//! `j` of channel `k` blocks until `chan_k == j` and then advances the
+//! channel. All channels progress out of phase. Written as opaque
+//! closures, the conditions have no analyzable dependencies, so they
+//! park on the global gate and every advance broadcasts it: the `N - 1`
+//! wrong-turn waiters of the advanced channel *and* every waiter of the
+//! other channels all wake, cannot decide the closure from the
+//! snapshot ring, confirm under the monitor lock, and go back to sleep
+//! — the `O(K · N)` herd.
 //!
-//! `SignalMode::Routed` runs the same workload with slot-bucketed wait
-//! queues: the relay maps each freshly published `chan_k` value through
-//! the eq-route index straight to the one compiled condition whose
-//! waiter can proceed, and unparks only that bucket. The printout
-//! compares the two modes' `unparks`, `waiter_self_checks` and
-//! `false_wakeups` at identical workload outcomes — routing's
-//! `false_wakeups` should be (near) zero because nobody is woken to
-//! learn they cannot run.
+//! Compiled as the equivalence predicate `chan_k == j`, the same
+//! workload rides the eq-route index: the relay maps each freshly
+//! published `chan_k` value straight to the one compiled condition
+//! whose waiter can proceed, and unparks only that bucket. The printout
+//! compares the two runs' `unparks`, `waiter_self_checks` and
+//! `futile_wakeups` at identical workload outcomes.
 //!
 //! Run with:
 //!
@@ -50,7 +49,7 @@ impl TrackedState for Storm {
 }
 
 fn run(
-    mode: SignalMode,
+    opaque: bool,
 ) -> (
     std::time::Duration,
     autosynch_repro::metrics::counters::CounterSnapshot,
@@ -59,14 +58,18 @@ fn run(
         Storm {
             chans: (0..CHANNELS).map(|_| Tracked::new(0)).collect(),
         },
-        MonitorConfig::preset(mode),
+        MonitorConfig::preset(SignalMode::Routed),
     ));
     let mut conds = Vec::with_capacity(CHANNELS * WAITERS);
     for k in 0..CHANNELS {
         let chan = monitor.register_expr(format!("chan_{k}"), move |s: &Storm| *s.chans[k]);
         monitor.bind(|s| &mut s.chans[k], &[chan]);
         for j in 0..WAITERS as i64 {
-            conds.push(monitor.compile(chan.eq(j)));
+            conds.push(if opaque {
+                monitor.compile(move |s: &Storm| *s.chans[k] == j)
+            } else {
+                monitor.compile(chan.eq(j))
+            });
         }
     }
     let start = Instant::now();
@@ -100,37 +103,37 @@ fn main() {
          ({} threads)",
         CHANNELS * WAITERS
     );
-    let (park_time, park) = run(SignalMode::Parked);
-    let (route_time, route) = run(SignalMode::Routed);
-    println!("                      AutoSynch-Park   AutoSynch-Route");
+    let (herd_time, herd) = run(true);
+    let (route_time, route) = run(false);
+    println!("                      opaque closures   compiled chan == j");
     println!(
-        "  elapsed             {:>14.3}s  {:>15.3}s",
-        park_time.as_secs_f64(),
+        "  elapsed             {:>15.3}s  {:>17.3}s",
+        herd_time.as_secs_f64(),
         route_time.as_secs_f64()
     );
     println!(
-        "  unparks             {:>15}  {:>16}",
-        park.unparks, route.unparks
+        "  unparks             {:>16}  {:>18}",
+        herd.unparks, route.unparks
     );
     println!(
-        "  waiter_self_checks  {:>15}  {:>16}",
-        park.waiter_self_checks, route.waiter_self_checks
+        "  waiter_self_checks  {:>16}  {:>18}",
+        herd.waiter_self_checks, route.waiter_self_checks
     );
     println!(
-        "  false_wakeups       {:>15}  {:>16}",
-        park.false_wakeups, route.false_wakeups
+        "  futile_wakeups      {:>16}  {:>18}",
+        herd.futile_wakeups, route.futile_wakeups
     );
     println!(
-        "  eq_routed_wakes     {:>15}  {:>16}",
-        park.eq_routed_wakes, route.eq_routed_wakes
+        "  eq_routed_wakes     {:>16}  {:>18}",
+        herd.eq_routed_wakes, route.eq_routed_wakes
     );
     println!(
-        "  token_forwards      {:>15}  {:>16}",
-        park.token_forwards, route.token_forwards
+        "  token_forwards      {:>16}  {:>18}",
+        herd.token_forwards, route.token_forwards
     );
     assert!(
-        route.waiter_self_checks < park.waiter_self_checks,
-        "routing must cut the self-check herd"
+        route.waiter_self_checks < herd.waiter_self_checks,
+        "eq routing must cut the self-check herd"
     );
     assert!(
         route.eq_routed_wakes > 0,

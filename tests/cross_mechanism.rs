@@ -17,7 +17,6 @@ fn all_reports(run: impl Fn(Mechanism) -> autosynch_repro::problems::RunReport) 
             | Mechanism::AutoSynchT
             | Mechanism::AutoSynchCD
             | Mechanism::AutoSynchShard
-            | Mechanism::AutoSynchPark
             | Mechanism::AutoSynchRoute => {
                 assert_eq!(
                     report.stats.counters.broadcasts, 0,

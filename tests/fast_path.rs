@@ -93,7 +93,6 @@ fn outcomes_are_identical_with_and_without_the_fast_path() {
         SignalMode::Untagged,
         SignalMode::ChangeDriven,
         SignalMode::Sharded,
-        SignalMode::Parked,
         SignalMode::Routed,
     ] {
         let fast = buffer_outcome(mode, true);

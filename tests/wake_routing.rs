@@ -1,19 +1,23 @@
 //! Targeted wake routing (`SignalMode::Routed`) equivalence and
 //! protocol checks.
 //!
-//! The mode must reach the same wait/wake outcomes as AutoSynch-Park
-//! and tagged AutoSynch on every workload — same invariants, zero
-//! broadcasts, zero protocol violations with the no-lost-token
-//! validator armed — while wakes are slot-targeted token sweeps
-//! instead of gate broadcasts (visible as `routed_unparks` /
-//! `token_forwards` / `eq_routed_wakes` on the counters, and as a
-//! collapse of `waiter_self_checks` on the eq-shaped workloads).
+//! The mode must reach the same wait/wake outcomes as tagged AutoSynch
+//! on every workload — same invariants, zero broadcasts, zero protocol
+//! violations with the no-lost-token validator armed — while the
+//! signaler never evaluates a waiter's predicate (that work shows up
+//! as `waiter_self_checks` on the waiter side) and wakes are
+//! slot-targeted token sweeps instead of gate broadcasts (visible as
+//! `routed_unparks` / `token_forwards` / `eq_routed_wakes` on the
+//! counters).
 //!
-//! Mirrors `tests/parking.rs`, plus: the fig11 acceptance assertion
-//! (unparks per relay ≈ 1 under Routed vs ~N under Parked at identical
-//! outcomes), a transient-waiter stranding regression (the documented
-//! `wait_transient` broadcast-bucket fallback), and no-lost-token
-//! proptests over randomized park/sweep/claim/timeout interleavings.
+//! Mirrors `tests/sharded.rs`, plus: global-gate fallback for
+//! cross-shard predicates, named-mutation diff narrowing, a
+//! park/unpark lost-wakeup stress that wraps the snapshot ring many
+//! times under concurrent writers, the fig11 acceptance assertion
+//! (unparks per relay ≈ 1), a transient-waiter stranding regression
+//! (the documented `wait_transient` broadcast-bucket fallback), and
+//! no-lost-token proptests over randomized park/sweep/claim/timeout
+//! interleavings.
 
 use std::sync::Arc;
 
@@ -139,20 +143,16 @@ fn validated_eq_round_robin_across_shard_widths() {
     }
 }
 
-// --- route-vs-park-vs-tagged equivalence across all 14 workloads -------
+// --- route-vs-tagged equivalence across all 14 workloads ---------------
 //
 // Every problem's `run` asserts its own invariants (item conservation,
 // stoichiometry, mutual exclusion, ...) and panics on violation, so
 // completing each run under AutoSynch-Route with zero broadcasts is
-// the equivalence assertion; AutoSynch-Park and tagged AutoSynch run
-// the identical config as references.
+// the equivalence assertion; tagged AutoSynch runs the identical
+// config as the reference.
 
-fn route_park_tagged(run: impl Fn(Mechanism) -> autosynch_repro::problems::RunReport) {
-    for mechanism in [
-        Mechanism::AutoSynchRoute,
-        Mechanism::AutoSynchPark,
-        Mechanism::AutoSynch,
-    ] {
+fn route_tagged(run: impl Fn(Mechanism) -> autosynch_repro::problems::RunReport) {
+    for mechanism in [Mechanism::AutoSynchRoute, Mechanism::AutoSynch] {
         let report = run(mechanism);
         assert_eq!(
             report.stats.counters.broadcasts, 0,
@@ -169,7 +169,7 @@ fn route_park_tagged(run: impl Fn(Mechanism) -> autosynch_repro::problems::RunRe
 
 #[test]
 fn workload01_bounded_buffer() {
-    route_park_tagged(|m| {
+    route_tagged(|m| {
         bounded_buffer::run(
             m,
             bounded_buffer::BoundedBufferConfig {
@@ -184,7 +184,7 @@ fn workload01_bounded_buffer() {
 
 #[test]
 fn workload02_h2o() {
-    route_park_tagged(|m| {
+    route_tagged(|m| {
         h2o::run(
             m,
             h2o::H2oConfig {
@@ -197,7 +197,7 @@ fn workload02_h2o() {
 
 #[test]
 fn workload03_sleeping_barber() {
-    route_park_tagged(|m| {
+    route_tagged(|m| {
         sleeping_barber::run(
             m,
             sleeping_barber::SleepingBarberConfig {
@@ -212,7 +212,7 @@ fn workload03_sleeping_barber() {
 
 #[test]
 fn workload04_round_robin() {
-    route_park_tagged(|m| {
+    route_tagged(|m| {
         round_robin::run(
             m,
             round_robin::RoundRobinConfig {
@@ -225,7 +225,7 @@ fn workload04_round_robin() {
 
 #[test]
 fn workload05_readers_writers() {
-    route_park_tagged(|m| {
+    route_tagged(|m| {
         readers_writers::run(
             m,
             readers_writers::ReadersWritersConfig {
@@ -239,7 +239,7 @@ fn workload05_readers_writers() {
 
 #[test]
 fn workload06_dining() {
-    route_park_tagged(|m| {
+    route_tagged(|m| {
         dining::run(
             m,
             dining::DiningConfig {
@@ -252,7 +252,7 @@ fn workload06_dining() {
 
 #[test]
 fn workload07_param_bounded_buffer() {
-    route_park_tagged(|m| {
+    route_tagged(|m| {
         param_bounded_buffer::run(
             m,
             param_bounded_buffer::ParamBoundedBufferConfig {
@@ -268,7 +268,7 @@ fn workload07_param_bounded_buffer() {
 
 #[test]
 fn workload08_cigarette_smokers() {
-    route_park_tagged(|m| {
+    route_tagged(|m| {
         cigarette_smokers::run(
             m,
             cigarette_smokers::SmokersConfig {
@@ -281,7 +281,7 @@ fn workload08_cigarette_smokers() {
 
 #[test]
 fn workload09_unisex_bathroom() {
-    route_park_tagged(|m| {
+    route_tagged(|m| {
         unisex_bathroom::run(
             m,
             unisex_bathroom::BathroomConfig {
@@ -295,7 +295,7 @@ fn workload09_unisex_bathroom() {
 
 #[test]
 fn workload10_group_mutex() {
-    route_park_tagged(|m| {
+    route_tagged(|m| {
         group_mutex::run(
             m,
             group_mutex::GroupMutexConfig {
@@ -309,7 +309,7 @@ fn workload10_group_mutex() {
 
 #[test]
 fn workload11_one_lane_bridge() {
-    route_park_tagged(|m| {
+    route_tagged(|m| {
         one_lane_bridge::run(
             m,
             one_lane_bridge::BridgeConfig {
@@ -323,7 +323,7 @@ fn workload11_one_lane_bridge() {
 
 #[test]
 fn workload12_cyclic_barrier() {
-    route_park_tagged(|m| {
+    route_tagged(|m| {
         cyclic_barrier::run(
             m,
             cyclic_barrier::BarrierConfig {
@@ -336,7 +336,7 @@ fn workload12_cyclic_barrier() {
 
 #[test]
 fn workload13_sharded_queues() {
-    route_park_tagged(|m| {
+    route_tagged(|m| {
         sharded_queues::run(
             m,
             sharded_queues::ShardedQueuesConfig {
@@ -350,7 +350,7 @@ fn workload13_sharded_queues() {
 
 #[test]
 fn workload14_wake_storm() {
-    route_park_tagged(|m| {
+    route_tagged(|m| {
         wake_storm::run(
             m,
             wake_storm::WakeStormConfig {
@@ -365,42 +365,24 @@ fn workload14_wake_storm() {
 // --- the acceptance criteria -------------------------------------------
 
 #[test]
-fn fig11_routed_unparks_are_targeted_while_parked_broadcasts_herd() {
-    // The headline acceptance: at identical workload outcomes, routed
-    // wakes on fig11 are ~1 per handoff (each advance eq-routes to the
-    // one slot whose turn came) while parked wakes broadcast the gate —
-    // ~N waiters per relay. Both modes complete the same rounds, so the
-    // counters are directly comparable.
+fn fig11_routed_unparks_are_targeted() {
+    // The headline acceptance: routed wakes on fig11 are ~1 per
+    // handoff — each advance eq-routes to the one slot whose turn came
+    // — where a gate broadcast would wake ~N waiters per relay.
     let config = round_robin::RoundRobinConfig {
         threads: 12,
         rounds: 150,
     };
-    let parked = round_robin::run(Mechanism::AutoSynchPark, config);
     let routed = round_robin::run(Mechanism::AutoSynchRoute, config);
-    let per_relay = |r: &autosynch_repro::problems::RunReport| {
-        let c = r.stats.counters;
-        assert!(c.relay_calls > 0);
-        c.unparks as f64 / c.relay_calls as f64
-    };
-    let routed_rate = per_relay(&routed);
-    let parked_rate = per_relay(&parked);
+    let c = routed.stats.counters;
+    assert!(c.relay_calls > 0);
+    let routed_rate = c.unparks as f64 / c.relay_calls as f64;
     assert!(
         routed_rate <= 1.2,
         "routed unparks per relay must be ~1, got {routed_rate:.2}"
     );
     assert!(
-        parked_rate >= 2.0 * routed_rate,
-        "parked wakes should herd well above routed: parked {parked_rate:.2} \
-         vs routed {routed_rate:.2} unparks/relay"
-    );
-    assert!(
-        routed.stats.counters.waiter_self_checks < parked.stats.counters.waiter_self_checks,
-        "routing must strictly cut the self-check herd: routed {} vs parked {}",
-        routed.stats.counters.waiter_self_checks,
-        parked.stats.counters.waiter_self_checks
-    );
-    assert!(
-        routed.stats.counters.eq_routed_wakes > 0,
+        c.eq_routed_wakes > 0,
         "fig11's turn == id conditions must ride the eq route"
     );
 }
@@ -446,6 +428,216 @@ fn routed_counters_surface_on_the_headline_workloads() {
         assert_eq!(c.signals, 0, "{workload}: no per-winner signals");
         assert_eq!(c.broadcasts, 0, "{workload}: no signalAll");
     }
+}
+
+#[test]
+fn validated_cross_shard_predicates_use_the_global_gate() {
+    // Ticketed readers/writers: the writer predicate
+    // `writer == 0 && readers == 0` spans two expressions and (for most
+    // shard counts) parks on the global gate — the monitor-lock
+    // fallback workout.
+    struct Room {
+        readers: i64,
+        writer: i64,
+        stop: i64,
+    }
+    // Pick a shard count that provably separates the two expressions
+    // (ids 0 and 1), so the writer conjunction must route to the
+    // global gate.
+    use autosynch_repro::predicate::deps::expr_shard;
+    use autosynch_repro::predicate::expr::ExprId;
+    let separating = (2..64)
+        .find(|&n| expr_shard(ExprId::from_raw(0), n) != expr_shard(ExprId::from_raw(1), n))
+        .expect("some shard count separates two exprs");
+    let monitor = Arc::new(Monitor::with_config(
+        Room {
+            readers: 0,
+            writer: 0,
+            stop: 0,
+        },
+        MonitorConfig::preset(SignalMode::Routed)
+            .shards(separating)
+            .validate_relay(true),
+    ));
+    let writer = monitor.register_expr("writer", |r: &Room| r.writer);
+    let readers = monitor.register_expr("readers", |r: &Room| r.readers);
+    let stop = monitor.register_expr("stop", |r: &Room| r.stop);
+
+    const WRITERS: usize = 3;
+    const READERS: usize = 9;
+    const OPS: usize = 120;
+    let total_reads = std::sync::atomic::AtomicU64::new(0);
+    std::thread::scope(|scope| {
+        // A pinned waiter whose first conjunction spans both separated
+        // expressions: its registration is a *guaranteed* global-gate
+        // (cross-shard) parking, however fast the workload races.
+        let pin = {
+            let monitor = Arc::clone(&monitor);
+            scope.spawn(move || {
+                let spanning = monitor.compile(writer.eq(5).and(readers.eq(5)).or(stop.eq(1)));
+                monitor.enter(|g| {
+                    g.wait(&spanning);
+                });
+            })
+        };
+        let mut handles = Vec::new();
+        for _ in 0..WRITERS {
+            let monitor = Arc::clone(&monitor);
+            handles.push(scope.spawn(move || {
+                let idle = monitor.compile(writer.eq(0).and(readers.eq(0)));
+                for _ in 0..OPS {
+                    monitor.enter(|g| {
+                        g.wait(&idle);
+                        g.state_mut().writer = 1;
+                    });
+                    monitor.with(|r| r.writer = 0);
+                }
+            }));
+        }
+        for _ in 0..READERS {
+            let monitor = Arc::clone(&monitor);
+            let total_reads = &total_reads;
+            handles.push(scope.spawn(move || {
+                let no_writer = monitor.compile(writer.eq(0));
+                for _ in 0..OPS {
+                    monitor.enter(|g| {
+                        g.wait(&no_writer);
+                        g.state_mut().readers += 1;
+                    });
+                    total_reads.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    monitor.with(|r| r.readers -= 1);
+                }
+            }));
+        }
+        for handle in handles {
+            handle.join().unwrap();
+        }
+        monitor.with(|r| r.stop = 1); // release the pinned waiter
+        pin.join().unwrap();
+    });
+    assert!(monitor.is_quiescent());
+    assert_eq!(
+        total_reads.load(std::sync::atomic::Ordering::Relaxed),
+        (READERS * OPS) as u64
+    );
+    let snap = monitor.stats_snapshot();
+    assert_eq!(snap.counters.broadcasts, 0);
+    assert!(
+        snap.counters.cross_shard_preds > 0,
+        "the pinned spanning conjunction must have parked on the global gate"
+    );
+}
+
+#[test]
+fn named_mutations_narrow_the_parked_diff() {
+    // sharded_queues uses tracked cells: under Route the per-exit diff
+    // must evaluate only the touched queue's two expressions, so total
+    // expr_evals stay near two per operation and named_mutations
+    // counts every operation.
+    let config = sharded_queues::ShardedQueuesConfig {
+        queues: 8,
+        ops_per_queue: 200,
+        capacity: 2,
+    };
+    let routed = sharded_queues::run(Mechanism::AutoSynchRoute, config);
+    let c = routed.stats.counters;
+    let ops = (config.queues * config.ops_per_queue * 2) as u64;
+    assert!(
+        c.named_mutations >= ops,
+        "every put/take is a named occupancy: {} < {ops}",
+        c.named_mutations
+    );
+    // Each mutated diff evaluates ~2 named expressions instead of all
+    // 16 live ones; allow generous slack for registration-time evals
+    // and gap re-evaluations.
+    assert!(
+        c.expr_evals < ops * 6,
+        "named diffs should evaluate ~2 exprs per op, got {} for {ops} ops",
+        c.expr_evals
+    );
+}
+
+// --- lost-wakeup stress with ring wraparound ---------------------------
+
+#[test]
+fn park_unpark_survives_ring_wraparound_under_concurrent_writers() {
+    // The snapshot ring has 4 slots; thousands of publishes wrap it
+    // hundreds of times while parked waiters run self-checks against
+    // whatever the latest slot says. A waiter that trusted a torn or
+    // stale read and slept through its wakeup would hang this test; the
+    // armed validator additionally panics on any bare parked waiter
+    // whose predicate is true and no token or announcement covers.
+    struct Buf {
+        level: i64,
+        cap: i64,
+        stop: i64,
+    }
+    let monitor = Arc::new(Monitor::with_config(
+        Buf {
+            level: 0,
+            cap: 3,
+            stop: 0,
+        },
+        MonitorConfig::preset(SignalMode::Routed).validate_relay(true),
+    ));
+    let level = monitor.register_expr("level", |b: &Buf| b.level);
+    let free = monitor.register_expr("free", |b: &Buf| b.cap - b.level);
+    let stop_e = monitor.register_expr("stop", |b: &Buf| b.stop);
+
+    const PAIRS: usize = 3;
+    const OPS: usize = 2_000;
+    std::thread::scope(|scope| {
+        // A long-lived parked waiter whose predicate stays false for
+        // the whole run: its self-checks keep reading the wrapping
+        // ring, and it must still wake for the final mutation.
+        let pin = {
+            let monitor = Arc::clone(&monitor);
+            scope.spawn(move || {
+                let released = monitor.compile(stop_e.eq(1));
+                monitor.enter(|g| {
+                    g.wait(&released);
+                });
+            })
+        };
+        let mut handles = Vec::new();
+        for _ in 0..PAIRS {
+            let producer = Arc::clone(&monitor);
+            handles.push(scope.spawn(move || {
+                let room = producer.compile(free.ge(1));
+                for _ in 0..OPS {
+                    producer.enter(|g| {
+                        g.wait(&room);
+                        g.state_mut().level += 1;
+                    });
+                }
+            }));
+            let consumer = Arc::clone(&monitor);
+            handles.push(scope.spawn(move || {
+                let stocked = consumer.compile(level.ge(1));
+                for _ in 0..OPS {
+                    consumer.enter(|g| {
+                        g.wait(&stocked);
+                        g.state_mut().level -= 1;
+                    });
+                }
+            }));
+        }
+        for handle in handles {
+            handle.join().unwrap();
+        }
+        // Only now release the pin waiter: it sat parked through every
+        // ring wraparound of the run.
+        monitor.with(|b| b.stop = 1);
+        pin.join().unwrap();
+    });
+    assert_eq!(monitor.with(|b| b.level), 0);
+    assert!(monitor.is_quiescent());
+    assert_eq!(monitor.parked_waiters(), 0);
+    let snap = monitor.stats_snapshot();
+    assert!(
+        snap.counters.waiter_self_checks > 0,
+        "the stress must exercise self-checks"
+    );
 }
 
 // --- transient fallback: never stranded --------------------------------

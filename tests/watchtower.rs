@@ -262,7 +262,7 @@ fn overwritten_rings_truncate_and_orphan_never_fabricate() {
     telemetry::set_ring_capacity(35);
     drop(telemetry::drain_all());
     round_robin::run(
-        Mechanism::AutoSynchPark,
+        Mechanism::AutoSynchRoute,
         RoundRobinConfig {
             threads: 4,
             rounds: 64,
@@ -275,10 +275,10 @@ fn overwritten_rings_truncate_and_orphan_never_fabricate() {
         "35-slot rings must overflow under 64 rounds x 4 threads"
     );
     // The live run promises the count and the partition, nothing about
-    // *where* each ring's overwrite cut lands: a round is twelve events
-    // per thread of which the wait chain is seven, and when all four
-    // cuts fall in the other five the survivors are whole chains and
-    // the stitcher, rightly, has nothing to flag.
+    // *where* each ring's overwrite cut lands: a round's events per
+    // thread are only partly its wait chain, and when all four cuts
+    // fall outside the chains the survivors are whole chains and the
+    // stitcher, rightly, has nothing to flag.
     let report = stitch(&drained.events);
     assert_partition(&report, "overwritten rings");
 
