@@ -99,40 +99,6 @@ fn bench_dedup(c: &mut Criterion) {
     group.finish();
 }
 
-/// The relay-width extension: width 1 is the paper's rule; wider relays
-/// hand the lock to several eligible threads per exit on a workload
-/// where one update satisfies many waiters at once.
-fn herd_release(width: usize, waiters: usize, rounds: usize) {
-    let config = MonitorConfig::new().relay_width(width);
-    let monitor = Arc::new(Monitor::with_config(Counter { value: 0 }, config));
-    let value = monitor.register_expr("value", |s: &Counter| s.value);
-    timed_run(waiters + 1, |i| {
-        if i == 0 {
-            for round in 0..rounds {
-                // One bump satisfies every waiter of this round.
-                monitor.with(move |s| s.value = (round + 1) as i64);
-            }
-        } else {
-            for round in 0..rounds {
-                monitor.enter(|g| g.wait_transient(value.ge((round + 1) as i64)));
-            }
-        }
-    });
-}
-
-fn bench_relay_width(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_relay_width");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(2));
-
-    for width in [1usize, 2, 8] {
-        group.bench_function(BenchmarkId::new("width", width), |b| {
-            b.iter(|| herd_release(width, 8, 100))
-        });
-    }
-    group.finish();
-}
-
 /// The plain bounded buffer under a given monitor flavor — the common
 /// ground between the restricted and full designs.
 mod flavors {
@@ -292,7 +258,6 @@ criterion_group!(
     benches,
     bench_threshold_index,
     bench_dedup,
-    bench_relay_width,
     bench_restricted_vs_full,
     bench_restricted_round_robin,
     bench_change_driven

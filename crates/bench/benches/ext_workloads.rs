@@ -38,7 +38,6 @@ fn bench_sharded_queues(c: &mut Criterion) {
             Mechanism::Explicit,
             Mechanism::AutoSynch,
             Mechanism::AutoSynchCD,
-            Mechanism::AutoSynchShard,
         ] {
             group.bench_with_input(
                 BenchmarkId::new(mechanism.label(), queues),

@@ -87,13 +87,13 @@ const EXPERIMENTS: &[Experiment] = &[
     },
     Experiment {
         id: "relay",
-        title: "Extension — relay-cost accounting incl. change-driven and sharded modes",
-        expectation: "AutoSynch-Shard: fewer pred evals than AutoSynch-CD at equal outcomes; emits BENCH_shard.json",
+        title: "Extension — relay-cost accounting incl. change-driven and routed modes",
+        expectation: "relay, probe and wakeup counts per mechanism at equal outcomes; emits BENCH_relay.json",
         run: figures::relay_cost,
     },
     Experiment {
         id: "wake",
-        title: "Extension — wake precision: routed unparks and self-checks (sharded for context)",
+        title: "Extension — wake precision: routed unparks and self-checks (change-driven for context)",
         expectation: "AutoSynch-Route: ~1 unpark/relay on fig11, ladder skips on fig14, transient cache hits on the mix; emits BENCH_wake.json",
         run: figures::wake_routing,
     },
@@ -112,14 +112,8 @@ const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         id: "extshardq",
         title: "Extension — sharded queues: N independent queues, one monitor (runtime, seconds)",
-        expectation: "disequality (None-tag) predicates; sharding confines each relay to one shard",
+        expectation: "disequality (None-tag) predicates: no tag index prunes the relay search",
         run: figures::ext_sharded_queues,
-    },
-    Experiment {
-        id: "extshardqx",
-        title: "Extension supplement — sharded-queues probe counters",
-        expectation: "AutoSynch-Shard undercuts AutoSynch-CD on pred_evals at identical outcomes",
-        run: figures::ext_sharded_queues_counters,
     },
     Experiment {
         id: "extbarrier",

@@ -292,13 +292,11 @@ pub fn table1() -> Table {
 }
 
 /// Extension: relay-cost accounting across every mechanism (including
-/// the change-driven and sharded extensions) on the Fig. 14
+/// the change-driven and routed extensions) on the Fig. 14
 /// parameterized bounded buffer, the Fig. 11 round robin, and the
-/// many-queue sharding showcase. Besides the text table, the series is
-/// written to `BENCH_shard.json` (the successor of `BENCH_relay.json`,
-/// now carrying the `AutoSynch-Shard` mechanism rows and the
-/// `sharded_queues` workload) so later optimization PRs have a
-/// machine-readable perf trajectory to diff against.
+/// many-queue `sharded_queues` workload. Besides the text table, the
+/// series is written to `BENCH_relay.json` so later optimization PRs
+/// have a machine-readable perf trajectory to diff against.
 pub fn relay_cost() -> Table {
     let mut table = Table::with_columns(&[
         "workload",
@@ -371,7 +369,7 @@ pub fn relay_cost() -> Table {
         record("ext_sharded_queues", &report);
     }
     let json = format!("{{\n  \"benchmarks\": [\n{entries}\n  ]\n}}\n");
-    let path = "BENCH_shard.json";
+    let path = "BENCH_relay.json";
     match std::fs::write(path, json) {
         Ok(()) => println!("   [relay-cost series written to {path}]"),
         Err(err) => eprintln!("   [failed to write {path}: {err}]"),
@@ -429,13 +427,13 @@ fn transient_mix_run(mechanism: Mechanism, pairs: usize, ops: usize) -> RunRepor
     }
 }
 
-/// Extension: wake precision — routed (vs sharded for context) on the
+/// Extension: wake precision — routed (vs change-driven for context) on the
 /// four workloads spanning the tag families: fig11's
 /// round robin (N waiters, one hot equivalence expression), the wake
 /// storm (K hot expressions × N waiters, adversarial signal order),
 /// fig14's parameterized bounded buffer (threshold-shaped `count >=
-/// num` conditions — the ladder's target), and the sharded-queues
-/// showcase (mixed/None-tagged footprints), plus a bespoke
+/// num` conditions — the ladder's target), and the many-queue
+/// workload (None-tagged footprints), plus a bespoke
 /// compiled/transient mix for the LRU graduation path. Records
 /// per-relay unparks, waiter self-checks, end-to-end time and the
 /// precision counters (`ladder_skips`, `cursor_resumes`,
@@ -460,7 +458,7 @@ pub fn wake_routing() -> Table {
         "cursor_resumes",
         "transient_hits",
     ]);
-    let mechanisms = [Mechanism::AutoSynchShard, Mechanism::AutoSynchRoute];
+    let mechanisms = [Mechanism::AutoSynchCD, Mechanism::AutoSynchRoute];
     let rr_threads = if sweep::full_scale() { 64 } else { 16 };
     let rr_config = RoundRobinConfig {
         threads: rr_threads,
@@ -797,10 +795,7 @@ pub fn api_cost() -> Table {
         report.elapsed.as_secs_f64(),
         &report.stats.counters,
     );
-    let report = sharded_queues::run(
-        Mechanism::AutoSynchShard,
-        shard_queues_config(consumers / 2),
-    );
+    let report = sharded_queues::run(Mechanism::AutoSynchCD, shard_queues_config(consumers / 2));
     record(
         "ext_sharded_queues",
         "v2_compiled",
@@ -895,11 +890,10 @@ fn shard_queues_config(queues: usize) -> ShardedQueuesConfig {
 }
 
 /// Extension: N independent work queues behind one monitor, runtime vs
-/// queue count — the workload where dependency sharding should win.
-/// The interesting comparison is within the automatic family: the
-/// disequality predicates tag as `None`, so the flat managers re-probe
-/// every queue's waiters per relay while the sharded manager touches
-/// only the affected shard.
+/// queue count. The interesting comparison is within the automatic
+/// family: the disequality predicates tag as `None`, so no tag index
+/// prunes the relay search — the change-driven filter and the routed
+/// mode's per-gate wakes are what keep it from scanning every queue.
 pub fn ext_sharded_queues() -> Table {
     let mechanisms = Mechanism::WITHOUT_BASELINE;
     let mut table = Table::new(header("queues", &mechanisms));
@@ -910,38 +904,6 @@ pub fn ext_sharded_queues() -> Table {
             .map(|&m| sharded_queues::run(m, config))
             .collect();
         table.row(runtime_row(config.queues.to_string(), &reports));
-    }
-    table
-}
-
-/// Extension supplement: the probe-work counters behind the sharded
-/// queues at the largest grid point — `AutoSynch-Shard` must undercut
-/// `AutoSynch-CD` on `pred_evals` at identical outcomes.
-pub fn ext_sharded_queues_counters() -> Table {
-    let mut table = Table::with_columns(&[
-        "mechanism",
-        "pred_evals",
-        "expr_evals",
-        "probes_skipped",
-        "relay_skips",
-        "cross_shard",
-        "batched",
-        "signals",
-    ]);
-    let queues = if sweep::full_scale() { 32 } else { 8 };
-    for mechanism in Mechanism::ALL {
-        let report = sharded_queues::run(mechanism, shard_queues_config(queues));
-        let c = report.stats.counters;
-        table.row(vec![
-            mechanism.label().to_owned(),
-            c.pred_evals.to_string(),
-            c.expr_evals.to_string(),
-            c.probes_skipped.to_string(),
-            c.relay_skips.to_string(),
-            c.cross_shard_preds.to_string(),
-            c.batched_signals.to_string(),
-            c.signals.to_string(),
-        ]);
     }
     table
 }
@@ -2061,7 +2023,7 @@ mod tests {
         assert_eq!(h.len(), 1 + Mechanism::WITHOUT_BASELINE.len());
         assert_eq!(h[0], "threads");
         assert_eq!(h[3], "AutoSynch");
-        assert_eq!(h[5], "AutoSynch-Shard");
+        assert_eq!(h[5], "AutoSynch-Route");
     }
 
     #[test]

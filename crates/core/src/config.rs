@@ -18,18 +18,6 @@ pub enum SignalMode {
     /// skipped outright. Each expression is evaluated at most once per
     /// *occupancy* instead of once per relay.
     ChangeDriven,
-    /// Sharded change-driven AutoSynch (`autosynch_shard`, an extension
-    /// beyond the paper): the predicate table, `None` list and
-    /// threshold/equivalence indexes are partitioned into
-    /// [`MonitorConfig::shard_count`] disjoint shards by each
-    /// conjunction's dependency footprint (conjunctions spanning shards
-    /// or with opaque dependencies land in a global shard probed last).
-    /// Relays diff the expression snapshot once, map the changed set to
-    /// the affected shards, and probe only those — a hit in one shard
-    /// no longer invalidates the known-false status of the others. One
-    /// batched pass may signal up to `relay_width` waiters from
-    /// independent shards.
-    Sharded,
     /// Routed-wake AutoSynch (an extension beyond the paper): the
     /// predicate work leaves the signaler's critical path. Waiters park
     /// themselves on per-gate wait queues (one gate per dependency
@@ -87,7 +75,6 @@ pub struct MonitorConfig {
     timing: bool,
     inactive_cap: usize,
     threshold_index: ThresholdIndexKind,
-    relay_width: usize,
     validate_relay: bool,
     shards: usize,
     transient_bucket_cap: usize,
@@ -102,7 +89,6 @@ impl Default for MonitorConfig {
             timing: false,
             inactive_cap: 64,
             threshold_index: ThresholdIndexKind::PaperHeap,
-            relay_width: 1,
             validate_relay: false,
             shards: 8,
             transient_bucket_cap: 16,
@@ -162,25 +148,9 @@ impl MonitorConfig {
         self
     }
 
-    /// How many threads one relay call may signal (an extension beyond
-    /// the paper, which always signals exactly one). Values above 1
-    /// wake several threads whose predicates are *currently* true —
-    /// more parallel lock handoff at the risk of futile wakeups when an
-    /// earlier winner falsifies a later one's condition.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `width` is zero (relay invariance needs at least one
-    /// signal).
-    pub fn relay_width(mut self, width: usize) -> Self {
-        assert!(width >= 1, "relay width must be at least 1");
-        self.relay_width = width;
-        self
-    }
-
-    /// How many data shards the sharded condition manager partitions
-    /// the expression space into (the global shard for cross-shard and
-    /// opaque conjunctions is extra). Ignored by the other modes.
+    /// How many data gates the routed mode partitions the expression
+    /// space into (the global gate for cross-shard and opaque conditions
+    /// is extra). Ignored by the other modes.
     ///
     /// # Panics
     ///
@@ -236,7 +206,7 @@ impl MonitorConfig {
         self.mode
     }
 
-    /// The configured data-shard count (sharded mode only).
+    /// The configured data-gate count (routed mode only).
     pub fn shard_count(&self) -> usize {
         self.shards
     }
@@ -254,11 +224,6 @@ impl MonitorConfig {
     /// The configured threshold-index kind.
     pub fn threshold_index_kind(&self) -> ThresholdIndexKind {
         self.threshold_index
-    }
-
-    /// The number of threads one relay call may signal.
-    pub fn relay_width_value(&self) -> usize {
-        self.relay_width
     }
 
     /// Enables the relay-invariance validator (Def. 4 / Prop. 2): after
@@ -306,21 +271,9 @@ mod tests {
         assert!(!c.timing_enabled());
         assert_eq!(c.inactive_capacity(), 64);
         assert_eq!(c.threshold_index_kind(), ThresholdIndexKind::PaperHeap);
-        assert_eq!(c.relay_width_value(), 1);
         assert_eq!(c.transient_bucket_capacity(), 16);
         assert!(c.sweep_cursors_enabled());
         assert!(c.fast_path_enabled());
-    }
-
-    #[test]
-    fn relay_width_builder() {
-        assert_eq!(MonitorConfig::new().relay_width(4).relay_width_value(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_relay_width_panics() {
-        let _ = MonitorConfig::new().relay_width(0);
     }
 
     #[test]
@@ -355,13 +308,11 @@ mod tests {
             SignalMode::Tagged,
             SignalMode::Untagged,
             SignalMode::ChangeDriven,
-            SignalMode::Sharded,
             SignalMode::Routed,
         ] {
             let c = MonitorConfig::preset(mode);
             assert_eq!(c.signal_mode(), mode);
             assert_eq!(c.inactive_capacity(), 64);
-            assert_eq!(c.relay_width_value(), 1);
             assert_eq!(c.shard_count(), 8);
             assert_eq!(c.transient_bucket_capacity(), 16);
             assert!(c.sweep_cursors_enabled());

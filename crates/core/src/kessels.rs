@@ -274,17 +274,25 @@ impl<S> KesselsGuard<'_, S> {
                 slot.waiting += 1;
                 Arc::clone(&slot.condvar)
             };
-            monitor.owner.store(0, Ordering::Relaxed);
-            let timer = monitor.stats.phases.start(Phase::Await);
-            cv.wait(self.inner.as_mut().expect("guard released"));
-            timer.finish();
-            monitor.owner.store(thread_id::current(), Ordering::Relaxed);
-            monitor.stats.counters.record_wakeup();
+            // A condvar may return without a notify. Such a spurious
+            // wakeup finds no signal to consume: the thread is still
+            // counted in `waiting`, so it blocks again without relaying.
+            loop {
+                monitor.owner.store(0, Ordering::Relaxed);
+                let timer = monitor.stats.phases.start(Phase::Await);
+                cv.wait(self.inner.as_mut().expect("guard released"));
+                timer.finish();
+                monitor.owner.store(thread_id::current(), Ordering::Relaxed);
+                monitor.stats.counters.record_wakeup();
+                let slot = &mut self.inner_mut().conds[cond.0];
+                if slot.signaled > 0 {
+                    slot.signaled -= 1;
+                    break;
+                }
+            }
 
             let Inner { state, conds } = self.inner_mut();
             let slot = &mut conds[cond.0];
-            debug_assert!(slot.signaled > 0, "woke without a signal");
-            slot.signaled -= 1;
             monitor.stats.counters.record_pred_eval();
             if (slot.pred)(state) {
                 return;
@@ -451,6 +459,45 @@ mod tests {
         });
         first.join().unwrap();
         second.join().unwrap();
+    }
+
+    #[test]
+    fn spurious_wakeup_waits_again_without_a_signal() {
+        let (m, _, not_empty) = buffer_monitor();
+        let m = Arc::new(m);
+        let m2 = Arc::clone(&m);
+        let waiter = thread::spawn(move || {
+            m2.enter(|g| {
+                g.wait(not_empty);
+                g.state_mut().count -= 1;
+            });
+        });
+        // `waiting` is raised under the lock the condvar wait releases,
+        // so once it reads 1 the waiter is blocked.
+        while m.inner.lock().conds[not_empty.0].waiting == 0 {
+            thread::sleep(Duration::from_millis(1));
+        }
+        // A notify with no signal behind it: the waiter wakes, counts
+        // the wakeup under the lock and must block again.
+        let cv = Arc::clone(&m.inner.lock().conds[not_empty.0].condvar);
+        cv.notify_one();
+        while m.stats_snapshot().counters.wakeups == 0 {
+            thread::sleep(Duration::from_millis(1));
+        }
+        {
+            let inner = m.inner.lock();
+            let slot = &inner.conds[not_empty.0];
+            assert_eq!((slot.waiting, slot.signaled), (1, 0));
+        }
+        // A normal exit makes the condition true and signals the waiter.
+        m.with(|b| b.count = 1);
+        waiter.join().expect("the waiter must not panic");
+        let inner = m.inner.lock();
+        let slot = &inner.conds[not_empty.0];
+        assert_eq!((slot.waiting, slot.signaled), (0, 0));
+        assert_eq!(inner.state.count, 0);
+        drop(inner);
+        assert_eq!(m.stats_snapshot().counters.signals, 1);
     }
 
     #[test]

@@ -36,25 +36,22 @@
 //! | AutoSynch-T (relay, no tags) | [`Monitor`] with `preset(SignalMode::Untagged)` |
 //! | AutoSynch (full) | [`Monitor`] with defaults |
 //! | AutoSynch-CD (tags + expression versioning) | [`Monitor`] with `preset(SignalMode::ChangeDriven)` |
-//! | AutoSynch-Shard (CD + dependency-sharded manager) | [`Monitor`] with `preset(SignalMode::Sharded)` |
 //! | AutoSynch-Route (waiter-side self-checks + slot-targeted unparks) | [`Monitor`] with `preset(SignalMode::Routed)` |
 //!
-//! All five automatic variants share one constructor,
+//! All four automatic variants share one constructor,
 //! [`config::MonitorConfig::preset`].
 //!
 //! AutoSynch-CD is this reproduction's extension beyond the paper: the
 //! condition manager snapshots shared-expression values, diffs them at
 //! relay time, and probes only predicates whose dependency sets
 //! intersect the changed expressions — relays on unmutated state are
-//! skipped outright. AutoSynch-Shard builds on it: the tag indexes are
-//! partitioned by dependency footprint so a relay probes only the
-//! shards a mutation can have affected, batches up to `relay_width`
-//! signals from independent shards per exit, and publishes each diff
-//! into a lock-free snapshot ring readable without the monitor lock
-//! ([`Monitor::latest_expr_snapshot`]). AutoSynch-Route completes the
-//! progression: waiters park themselves on per-shard gate queues
-//! bucketed by compiled-`Cond` slot; a signaler's exit only publishes
-//! the diff epoch and announces slot-targeted wakes (delivered after
+//! skipped outright. AutoSynch-Route builds on its diff: the expression
+//! space is partitioned by dependency footprint into gates, and
+//! waiters park themselves on per-gate queues bucketed by
+//! compiled-`Cond` slot; a signaler's exit only publishes the diff
+//! epoch into a lock-free snapshot ring readable without the monitor
+//! lock ([`Monitor::latest_expr_snapshot`]) and announces slot-targeted
+//! wakes (delivered after
 //! releasing the lock), and each waiter re-checks its own predicate
 //! against the ring — predicate work leaves the signaler's critical
 //! section entirely. Each bucket wake is a waiter-forwarded token
@@ -66,7 +63,7 @@
 //! [`Monitor::enter_tracked`]) name the touched expressions on every
 //! write automatically, so diffs evaluate only those — the v2
 //! replacement of the retired `enter_mutating` slice contract. On top
-//! of all five modes sits the uncontended fast path: a packed monitor
+//! of all four modes sits the uncontended fast path: a packed monitor
 //! word lets a quiescent monitor be entered by a single CAS and exited
 //! by a single atomic AND (skipping mutex, relay and snapshot publish,
 //! all provably unnecessary when nobody is present), and contended

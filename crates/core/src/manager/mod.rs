@@ -8,14 +8,12 @@
 //!   waiting on a syntax-equivalent condition;
 //! * the **predicate table** mapping structural keys to entries, so
 //!   syntax-equivalent predicates reuse one condition variable;
-//! * one or more **shards** (`shard::Shard`), each holding the tag
-//!   indexes (equivalence hash table, threshold heaps, `None` lists)
-//!   for a disjoint partition of the expression space. The `Tagged` and
-//!   `ChangeDriven` modes run the degenerate 1-way partition; the
-//!   `Sharded` mode partitions by dependency footprint via the
-//!   router (`router::ShardRouter`) and probes only the shards a
-//!   mutation can have affected, following the batched
-//!   relay plan (`relay_plan::RelayPlan`);
+//! * the **tag index** (`shard::Shard`): equivalence hash table,
+//!   threshold heaps and `None` lists, searched by the `Tagged` and
+//!   `ChangeDriven` relays;
+//! * the **router** (`router::GateRouter`), which partitions the
+//!   expression space into the `Routed` mode's wake gates by
+//!   dependency footprint;
 //! * the **snapshot ring** (`snapshot_ring::SnapshotRing`) — a
 //!   lock-free seqlock ring the change-driven diff publishes into, so
 //!   observers read the latest expression values without the monitor
@@ -31,7 +29,6 @@
 //! live exactly while `waiting > 0` — a fully signaled entry must not be
 //! signaled again.
 
-mod relay_plan;
 mod router;
 mod shard;
 mod snapshot_ring;
@@ -56,8 +53,7 @@ use crate::slab::Slab;
 use crate::stats::MonitorStats;
 use crate::wake::{BucketKey, RoutedWake, SlotRoute, WakeLot, WakeRouter};
 
-use relay_plan::RelayPlan;
-use router::ShardRouter;
+use router::GateRouter;
 use shard::{Shard, ValueCache};
 pub(crate) use snapshot_ring::SnapshotRing;
 
@@ -73,11 +69,11 @@ pub(crate) struct PredEntry<S> {
     tags_active: bool,
     persistent: bool,
     in_inactive: bool,
-    /// Per-conjunction shard assignment, recorded at tag activation
-    /// (`Sharded` mode only; empty otherwise). Deactivation removes each
-    /// conjunction from exactly the shard it was inserted into, and the
-    /// Def. 4 checker re-derives every route to verify the partition
-    /// stayed total and deterministic.
+    /// Per-conjunction gate assignment, recorded at tag activation
+    /// (`Routed` mode only; empty otherwise). The entry's waiters park
+    /// on the gate these routes confine it to, and the wake-routing
+    /// checker re-derives every route to verify the partition stayed
+    /// total and deterministic.
     routes: Vec<u32>,
     /// The compiled-condition slot pinned to this entry, when one
     /// exists (`Monitor::compile` interned it). Slots and keyed entries
@@ -132,11 +128,10 @@ pub(crate) struct ConditionManager<S> {
     cond_pids: Vec<PredId>,
     /// Every active entry, for the untagged linear scan.
     scan_list: Vec<PredId>,
-    /// The tag-index partitions. One shard for `Tagged`/`ChangeDriven`;
-    /// `shard_count() + 1` (data shards + trailing global) for `Sharded`.
-    shards: Vec<Shard>,
-    router: ShardRouter,
-    plan: RelayPlan,
+    /// The tag index the `Tagged` and `ChangeDriven` relays search.
+    shard: Shard,
+    /// The `Routed` mode's gate partition.
+    router: GateRouter,
     inactive: VecDeque<PredId>,
     config: MonitorConfig,
     // --- relay working set: reused by every pass, never reallocated
@@ -156,7 +151,7 @@ pub(crate) struct ConditionManager<S> {
     /// has — and the monitor flushes it to the shared counters wherever
     /// it gives the exclusion up.
     pub(crate) tally: OccupancyTally,
-    // --- change-driven relay state (ChangeDriven + Sharded) -------------
+    // --- change-driven relay state (ChangeDriven + Routed) --------------
     /// How many active conjunctions depend on each expression — the set
     /// the snapshot diff evaluates.
     dep_refs: DepRefs,
@@ -201,15 +196,7 @@ pub(crate) struct ConditionManager<S> {
 
 impl<S> ConditionManager<S> {
     pub(crate) fn new(config: MonitorConfig) -> Self {
-        let data_shards = match config.signal_mode() {
-            SignalMode::Sharded | SignalMode::Routed => config.shard_count(),
-            _ => 1,
-        };
-        let router = ShardRouter::new(data_shards);
-        let shard_slots = match config.signal_mode() {
-            SignalMode::Sharded | SignalMode::Routed => router.shard_count(),
-            _ => 1,
-        };
+        let router = GateRouter::new(config.shard_count());
         let wake_gates = match config.signal_mode() {
             SignalMode::Routed => router.shard_count(),
             _ => 0,
@@ -220,11 +207,8 @@ impl<S> ConditionManager<S> {
             conds: CondTable::new(),
             cond_pids: Vec::new(),
             scan_list: Vec::new(),
-            shards: (0..shard_slots)
-                .map(|_| Shard::new(config.threshold_index_kind()))
-                .collect(),
+            shard: Shard::new(config.threshold_index_kind()),
             router,
-            plan: RelayPlan::new(),
             inactive: VecDeque::new(),
             config,
             cache: ValueCache::default(),
@@ -325,7 +309,7 @@ impl<S> ConditionManager<S> {
     /// owning the whole dependency footprint when every conjunction
     /// routes there, else the global gate (the conservative home of
     /// cross-shard and opaque predicates).
-    fn gate_of_routes(router: &ShardRouter, routes: &[u32]) -> usize {
+    fn gate_of_routes(router: &GateRouter, routes: &[u32]) -> usize {
         match routes {
             [] => router.global(),
             [first, rest @ ..] if rest.iter().all(|r| r == first) => *first as usize,
@@ -569,9 +553,7 @@ impl<S> ConditionManager<S> {
 
     /// The relay signaling rule (§4.2): find one waiting thread whose
     /// predicate is true and signal it. Called whenever a thread exits
-    /// the monitor or goes to wait. In `Sharded` mode one call may
-    /// signal up to `relay_width` waiters from independent shards in a
-    /// single batched pass.
+    /// the monitor or goes to wait.
     pub(crate) fn relay_signal(
         &mut self,
         state: &S,
@@ -607,9 +589,6 @@ impl<S> ConditionManager<S> {
         stats: &MonitorStats,
     ) -> Option<PredId> {
         let mode = self.config.signal_mode();
-        if mode == SignalMode::Sharded {
-            return self.relay_sharded(state, exprs, stats);
-        }
         if mode == SignalMode::Routed {
             return self.relay_routed(state, exprs, stats);
         }
@@ -623,160 +602,51 @@ impl<S> ConditionManager<S> {
             }
             return None;
         }
-        let mut first = None;
-        // The paper signals exactly one thread; relay_width > 1 is the
-        // documented extension that keeps signaling while distinct
-        // signalable candidates remain.
-        for _ in 0..self.config.relay_width_value() {
-            let timer = stats.phases.start(Phase::RelaySignal);
-            let found = match mode {
-                SignalMode::Untagged => self.find_untagged(state, exprs),
-                SignalMode::Tagged => {
-                    // No diff feeds the cache here: each search opens
-                    // its own epoch, so every shared expression is
-                    // evaluated at most once per search.
-                    self.cache.epoch += 1;
-                    self.probe_only_shard(state, exprs, false)
-                }
-                SignalMode::ChangeDriven => {
-                    let filtered = !self.shards[0].probe_all;
-                    self.probe_only_shard(state, exprs, filtered)
-                }
-                SignalMode::Sharded | SignalMode::Routed => {
-                    unreachable!("dispatched above")
-                }
-            };
-            timer.finish();
-            let Some(pid) = found else {
-                // The search ran dry: every still-waiting conjunction was
-                // either probed false or skipped as unchanged-since-false.
-                self.shards[0].all_false = true;
-                break;
-            };
-            self.shards[0].all_false = false;
+        // The paper's relay: one search, at most one signal.
+        let timer = stats.phases.start(Phase::RelaySignal);
+        let found = match mode {
+            SignalMode::Untagged => self.find_untagged(state, exprs),
+            SignalMode::Tagged => {
+                // No diff feeds the cache here: each search opens its
+                // own epoch, so every shared expression is evaluated at
+                // most once per search.
+                self.cache.epoch += 1;
+                self.probe_shard(state, exprs, false)
+            }
+            SignalMode::ChangeDriven => {
+                let filtered = !self.shard.probe_all;
+                self.probe_shard(state, exprs, filtered)
+            }
+            SignalMode::Routed => unreachable!("dispatched above"),
+        };
+        timer.finish();
+        // A search that ran dry certifies every still-waiting conjunction
+        // false (probed false or skipped as unchanged-since-false).
+        self.shard.all_false = found.is_none();
+        if let Some(pid) = found {
             self.tally.relay_hits += 1;
             self.signal_entry(pid, stats);
-            first.get_or_insert(pid);
         }
         if self.config.validates_relay() {
             self.check_relay_invariance(state, exprs);
         }
-        first
+        found
     }
 
-    /// Searches the single shard of the unpartitioned modes for a
-    /// signalable waiter; `filtered` restricts the search to candidates
-    /// the last diff's changed set can have flipped.
-    fn probe_only_shard(
-        &mut self,
-        state: &S,
-        exprs: &ExprTable<S>,
-        filtered: bool,
-    ) -> Option<PredId> {
+    /// Searches the tag index for a signalable waiter; `filtered`
+    /// restricts the search to candidates the last diff's changed set
+    /// can have flipped.
+    fn probe_shard(&mut self, state: &S, exprs: &ExprTable<S>, filtered: bool) -> Option<PredId> {
         let ConditionManager {
             entries,
-            shards,
+            shard,
             cache,
             changed,
             tally,
             ..
         } = self;
         let changed = filtered.then_some(changed.as_slice());
-        shards[0].probe(entries, state, exprs, cache, changed, tally)
-    }
-
-    /// The sharded batched relay: diff the expression snapshot once, map
-    /// the changed set to the affected shards, then probe only those —
-    /// up to `relay_width` signals per call, at most one per shard per
-    /// pass.
-    fn relay_sharded(
-        &mut self,
-        state: &S,
-        exprs: &ExprTable<S>,
-        stats: &MonitorStats,
-    ) -> Option<PredId> {
-        if self.prepare_sharded(state, exprs, stats) {
-            self.tally.relay_skips += 1;
-            if self.config.validates_relay() {
-                self.check_relay_invariance(state, exprs);
-            }
-            return None;
-        }
-        let mut budget = self.config.relay_width_value();
-        let mut first: Option<PredId> = None;
-        loop {
-            // One batched pass: visit every uncertified shard (global
-            // last), signaling at most one waiter per shard.
-            let mut plan = std::mem::take(&mut self.plan);
-            let route_timer = stats.phases.start(Phase::ShardRoute);
-            let empty = plan.rebuild(&self.shards);
-            route_timer.finish();
-            if empty {
-                self.plan = plan;
-                break;
-            }
-            let mut pass_hits = 0usize;
-            for &sid in plan.order() {
-                if budget == 0 {
-                    break;
-                }
-                let timer = stats.phases.start(Phase::RelaySignal);
-                let found = {
-                    let ConditionManager {
-                        entries,
-                        shards,
-                        cache,
-                        changed,
-                        tally,
-                        ..
-                    } = self;
-                    let shard = &mut shards[sid];
-                    let changed = (!shard.probe_all).then_some(changed.as_slice());
-                    shard.probe(entries, state, exprs, cache, changed, tally)
-                };
-                timer.finish();
-                match found {
-                    Some(pid) => {
-                        // The walk stopped at the hit: the shard may hold
-                        // further true waiters and has no certificate.
-                        let shard = &mut self.shards[sid];
-                        shard.all_false = false;
-                        shard.probe_all = true;
-                        self.tally.relay_hits += 1;
-                        if first.is_some() {
-                            self.tally.batched_signals += 1;
-                        }
-                        self.signal_entry(pid, stats);
-                        first.get_or_insert(pid);
-                        budget -= 1;
-                        pass_hits += 1;
-                    }
-                    None => {
-                        // Fully searched, nothing true: certified false
-                        // until an owned dependency changes.
-                        let shard = &mut self.shards[sid];
-                        shard.all_false = true;
-                        shard.probe_all = false;
-                    }
-                }
-            }
-            self.plan = plan;
-            if pass_hits == 0 || budget == 0 {
-                break;
-            }
-        }
-        // Shards without a certificate (hit-stopped, or unreached when
-        // the width budget ran out) must be fully probed by the next
-        // relay regardless of the by-then-stale changed bitmap.
-        for shard in &mut self.shards {
-            if !shard.all_false {
-                shard.probe_all = true;
-            }
-        }
-        if self.config.validates_relay() {
-            self.check_relay_invariance(state, exprs);
-        }
-        first
+        shard.probe(entries, state, exprs, cache, changed, tally)
     }
 
     /// The routed relay: the signaler's whole exit path. No index is
@@ -951,8 +821,12 @@ impl<S> ConditionManager<S> {
     /// Ground-truth check of the wake-routing protocol (armed by
     /// `validate_relay`):
     ///
-    /// 1. re-derives every live route (partition totality, determinism,
-    ///    confinement, global placement — same as the sharded checker);
+    /// 1. re-derives every live route: the recorded gate of each
+    ///    conjunction matches a fresh route computation (the partition
+    ///    is total and deterministic), data-gate conjunctions are fully
+    ///    confined (every dependency owned by their gate), and
+    ///    cross-shard, opaque or dependency-free conjunctions sit on
+    ///    the global gate;
     /// 2. **route soundness vs. a full probe**: every active slotted
     ///    entry's router registration must byte-match a fresh
     ///    classification of its predicate — a slot registered under the
@@ -968,10 +842,45 @@ impl<S> ConditionManager<S> {
     ///    awake. A bare parked waiter with a true predicate is a lost
     ///    wake.
     fn check_wake_routing(&self, state: &S, exprs: &ExprTable<S>) {
-        self.check_shard_routing();
         for (pid, entry) in self.entries.iter() {
             if !entry.tags_active {
                 continue;
+            }
+            let deps_per_conj = entry.pred.conj_deps();
+            assert_eq!(
+                entry.routes.len(),
+                deps_per_conj.len(),
+                "entry {pid:?} has {} recorded routes for {} conjunctions",
+                entry.routes.len(),
+                deps_per_conj.len(),
+            );
+            for (conj, deps) in deps_per_conj.iter().enumerate() {
+                let recorded = entry.routes[conj] as usize;
+                let derived = self.router.route(deps);
+                if recorded != derived {
+                    panic!(
+                        "shard routing violated: conjunction {conj} of predicate {} \
+                         (entry {pid:?}) is registered in shard {recorded} but routes \
+                         to shard {derived}",
+                        entry.pred
+                    );
+                }
+                if recorded == self.router.global() {
+                    continue;
+                }
+                assert!(
+                    !deps.is_opaque() && !deps.exprs().is_empty(),
+                    "opaque or dependency-free conjunction escaped the global shard"
+                );
+                for &expr in deps.exprs() {
+                    assert_eq!(
+                        self.router.shard_of_expr(expr),
+                        recorded,
+                        "conjunction {conj} of predicate {} spans shards but sits in \
+                         data shard {recorded}",
+                        entry.pred
+                    );
+                }
             }
             if let Some(slot) = entry.slot {
                 let gate = Self::gate_of_routes(&self.router, &entry.routes);
@@ -1009,41 +918,10 @@ impl<S> ConditionManager<S> {
         }
     }
 
-    /// Prepares a sharded relay: diffs the snapshot when the state was
-    /// mutated and maps the changed set onto the shard flags, or decides
-    /// the whole relay can be skipped (returns `true`).
-    ///
-    /// The skip is the per-shard generalization of the change-driven
-    /// skip: with no mutation since the last diff and an `all_false`
-    /// certificate on *every* shard, no active conjunction can have
-    /// flipped and relay invariance (Def. 4) holds vacuously.
-    fn prepare_sharded(&mut self, state: &S, exprs: &ExprTable<S>, stats: &MonitorStats) -> bool {
-        if !self.state_dirty {
-            if self.shards.iter().all(|shard| shard.all_false) {
-                return true;
-            }
-            // Uncertified shards may hold leftover true waiters from a
-            // width-limited relay; probe them fully, reusing the cached
-            // expression values.
-            for shard in &mut self.shards {
-                if !shard.all_false {
-                    shard.probe_all = true;
-                }
-            }
-            return false;
-        }
-        self.diff_snapshot(state, exprs, stats);
-        self.state_dirty = false;
-        let route_timer = stats.phases.start(Phase::ShardRoute);
-        RelayPlan::mark_affected(&self.router, &mut self.shards, &self.changed);
-        route_timer.finish();
-        false
-    }
-
     /// Diffs the expression snapshot against fresh evaluations, filling
     /// the changed bitmap, and publishes the new snapshot to the
     /// lock-free ring (the publish only in the modes with ring readers).
-    /// Shared by the `ChangeDriven`, `Sharded` and `Routed` modes.
+    /// Shared by the `ChangeDriven` and `Routed` modes.
     fn diff_snapshot(&mut self, state: &S, exprs: &ExprTable<S>, stats: &MonitorStats) {
         let timer = stats.phases.start(Phase::SnapshotDiff);
         self.cache.epoch += 1;
@@ -1101,15 +979,12 @@ impl<S> ConditionManager<S> {
         // forward into this epoch under a named-mutation contract): a
         // snapshot is a consistent cut of the state under one lock
         // hold, never a mix of epochs (expressions with no active
-        // dependents are `None`). Sharded and Routed modes only — plain
+        // dependents are `None`). Routed mode only — plain
         // change-driven monitors have no ring readers, and the staging
         // + atomic stores would tax their diff hot path for nothing
         // (BENCH tracks CD's snapDiff trajectory). Routed waiters rely
         // on the publish: their self-checks read the ring.
-        if matches!(
-            self.config.signal_mode(),
-            SignalMode::Sharded | SignalMode::Routed
-        ) {
+        if self.config.signal_mode() == SignalMode::Routed {
             let epoch = self.cache.epoch;
             self.publish_scratch.clear();
             self.publish_scratch.extend(
@@ -1143,22 +1018,22 @@ impl<S> ConditionManager<S> {
         stats: &MonitorStats,
     ) -> bool {
         if !self.state_dirty {
-            if self.shards[0].all_false {
+            if self.shard.all_false {
                 return true;
             }
-            // A width-limited relay may have left signalable waiters
-            // behind; probe everything, reusing the cached values.
-            self.shards[0].probe_all = true;
+            // A relay that stopped on a hit may have left signalable
+            // waiters behind; probe everything, reusing the cached values.
+            self.shard.probe_all = true;
             return false;
         }
         self.diff_snapshot(state, exprs, stats);
         self.state_dirty = false;
         // The changed-set prune is only sound against a baseline where
         // every active conjunction was known false. A previous relay
-        // that stopped on a hit (relay-width exhausted) may have left
-        // true-but-unsignaled waiters whose dependencies this diff sees
-        // as unchanged — probe everything until a search runs dry again.
-        self.shards[0].probe_all = !self.shards[0].all_false;
+        // that stopped on a hit may have left true-but-unsignaled
+        // waiters whose dependencies this diff sees as unchanged —
+        // probe everything until a search runs dry again.
+        self.shard.probe_all = !self.shard.all_false;
         false
     }
 
@@ -1166,20 +1041,13 @@ impl<S> ConditionManager<S> {
     /// after a relay, if any waiting thread's predicate is true then
     /// some thread must be signaled (active). A violation means the tag
     /// indexes missed a signalable thread — the exact bug class the
-    /// §4.3 machinery must not have. In `Sharded` mode the check
-    /// additionally re-derives every live conjunction's route and
-    /// verifies the recorded shard assignment (partition totality,
-    /// determinism, and global-shard placement of cross-shard
-    /// conjunctions).
+    /// §4.3 machinery must not have.
     ///
     /// # Panics
     ///
     /// Panics on a violation; enabled by
     /// [`MonitorConfig::validate_relay`](crate::config::MonitorConfig::validate_relay).
     fn check_relay_invariance(&self, state: &S, exprs: &ExprTable<S>) {
-        if self.config.signal_mode() == SignalMode::Sharded {
-            self.check_shard_routing();
-        }
         if self.entries.iter().any(|(_, e)| e.signaled > 0) {
             return; // an active thread exists; the invariance holds
         }
@@ -1203,56 +1071,6 @@ impl<S> ConditionManager<S> {
         match self.config.signal_mode() {
             SignalMode::Routed => self.check_wake_routing(state, exprs),
             _ => self.check_relay_invariance(state, exprs),
-        }
-    }
-
-    /// Verifies the sharded partition: every live conjunction's recorded
-    /// shard matches a fresh route computation (the routing is total and
-    /// deterministic), data-shard conjunctions are fully confined (all
-    /// dependencies owned by their shard), and cross-shard or opaque
-    /// conjunctions sit in the global shard — the placement the
-    /// probed-last order relies on.
-    fn check_shard_routing(&self) {
-        for (pid, entry) in self.entries.iter() {
-            if !entry.tags_active {
-                continue;
-            }
-            let deps_per_conj = entry.pred.conj_deps();
-            assert_eq!(
-                entry.routes.len(),
-                deps_per_conj.len(),
-                "entry {pid:?} has {} recorded routes for {} conjunctions",
-                entry.routes.len(),
-                deps_per_conj.len(),
-            );
-            for (conj, deps) in deps_per_conj.iter().enumerate() {
-                let recorded = entry.routes[conj] as usize;
-                let derived = self.router.route(deps);
-                if recorded != derived {
-                    panic!(
-                        "shard routing violated: conjunction {conj} of predicate {} \
-                         (entry {pid:?}) is registered in shard {recorded} but routes \
-                         to shard {derived}",
-                        entry.pred
-                    );
-                }
-                if recorded == self.router.global() {
-                    continue;
-                }
-                assert!(
-                    !deps.is_opaque() && !deps.exprs().is_empty(),
-                    "opaque or dependency-free conjunction escaped the global shard"
-                );
-                for &expr in deps.exprs() {
-                    assert_eq!(
-                        self.router.shard_of_expr(expr),
-                        recorded,
-                        "conjunction {conj} of predicate {} spans shards but sits in \
-                         data shard {recorded}",
-                        entry.pred
-                    );
-                }
-            }
         }
     }
 
@@ -1300,7 +1118,7 @@ impl<S> ConditionManager<S> {
                 self.scan_list.push(pid);
             }
             SignalMode::Tagged => {
-                let shard = &mut self.shards[0];
+                let shard = &mut self.shard;
                 self.tally.tag_inserts += entry.pred.tags().len() as u64;
                 for (conj, &tag) in entry.pred.tags().iter().enumerate() {
                     let conj = conj as u32;
@@ -1316,7 +1134,7 @@ impl<S> ConditionManager<S> {
                 }
             }
             SignalMode::ChangeDriven => {
-                let shard = &mut self.shards[0];
+                let shard = &mut self.shard;
                 let deps_per_conj = entry.pred.conj_deps();
                 self.tally.tag_inserts += entry.pred.tags().len() as u64;
                 for (conj, &tag) in entry.pred.tags().iter().enumerate() {
@@ -1375,49 +1193,6 @@ impl<S> ConditionManager<S> {
                     self.wake_router.register(slot, gate, route);
                 }
             }
-            SignalMode::Sharded => {
-                let deps_per_conj = entry.pred.conj_deps();
-                entry.routes.clear();
-                self.tally.tag_inserts += entry.pred.tags().len() as u64;
-                let mut cross_shard = 0;
-                for (conj, &tag) in entry.pred.tags().iter().enumerate() {
-                    let deps = &deps_per_conj[conj];
-                    let sid = self.router.route(deps);
-                    entry.routes.push(sid as u32);
-                    let conj = conj as u32;
-                    cross_shard += u64::from(sid == self.router.global());
-                    for &expr in deps.exprs() {
-                        self.dep_refs.acquire(expr);
-                    }
-                    let shard = &mut self.shards[sid];
-                    if deps.is_opaque() {
-                        // Counted regardless of tag class: an opaque
-                        // conjunction carrying an eq/threshold tag sits
-                        // in those indexes, not `opaque_list`, yet still
-                        // voids the shard's certificate on any mutation.
-                        shard.opaque_count += 1;
-                    }
-                    match tag {
-                        Tag::Equivalence { expr, key } => {
-                            shard.eq_index.insert(expr, key, (pid, conj));
-                        }
-                        Tag::Threshold { expr, key, op } => {
-                            shard.thresholds.insert(expr, key, op, (pid, conj));
-                        }
-                        Tag::None => {
-                            shard.none_count += 1;
-                            if deps.is_opaque() || deps.exprs().is_empty() {
-                                shard.opaque_list.push((pid, conj));
-                            } else {
-                                for &expr in deps.exprs() {
-                                    shard.none_index_insert(expr, (pid, conj));
-                                }
-                            }
-                        }
-                    }
-                }
-                self.tally.cross_shard_preds += cross_shard;
-            }
         }
     }
 
@@ -1433,7 +1208,7 @@ impl<S> ConditionManager<S> {
                 }
             }
             SignalMode::Tagged => {
-                let shard = &mut self.shards[0];
+                let shard = &mut self.shard;
                 self.tally.tag_removes += entry.pred.tags().len() as u64;
                 for (conj, &tag) in entry.pred.tags().iter().enumerate() {
                     let conj = conj as u32;
@@ -1467,27 +1242,15 @@ impl<S> ConditionManager<S> {
                     self.wake_router.unregister(slot);
                 }
             }
-            SignalMode::ChangeDriven | SignalMode::Sharded => {
-                let sharded = self.config.signal_mode() == SignalMode::Sharded;
+            SignalMode::ChangeDriven => {
+                let shard = &mut self.shard;
                 let deps_per_conj = entry.pred.conj_deps();
-                if sharded {
-                    debug_assert_eq!(entry.routes.len(), deps_per_conj.len());
-                }
                 self.tally.tag_removes += entry.pred.tags().len() as u64;
                 for (conj, &tag) in entry.pred.tags().iter().enumerate() {
                     let deps = &deps_per_conj[conj];
-                    let sid = if sharded {
-                        entry.routes[conj] as usize
-                    } else {
-                        0
-                    };
                     let conj = conj as u32;
                     for &expr in deps.exprs() {
                         self.dep_refs.release(expr);
-                    }
-                    let shard = &mut self.shards[sid];
-                    if sharded && deps.is_opaque() {
-                        shard.opaque_count -= 1;
                     }
                     match tag {
                         Tag::Equivalence { expr, key } => {
@@ -1594,20 +1357,13 @@ impl<S> ConditionManager<S> {
         );
     }
 
-    /// Live tags across all shards (tagged modes) or the scan list
+    /// Live tags in the tag index (tagged modes) or the scan list
     /// (untagged mode).
     pub(crate) fn live_tag_count(&self) -> usize {
         match self.config.signal_mode() {
             SignalMode::Untagged => self.scan_list.len(),
-            _ => self.shards.iter().map(Shard::live_tag_count).sum(),
+            _ => self.shard.live_tag_count(),
         }
-    }
-
-    /// Number of shards (1 for the non-sharded modes; data shards plus
-    /// the global shard in `Sharded` mode).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn shard_slot_count(&self) -> usize {
-        self.shards.len()
     }
 }
 
@@ -1619,7 +1375,6 @@ impl<S> std::fmt::Debug for ConditionManager<S> {
             .field("signaled", &self.signaled_count())
             .field("inactive", &self.inactive.len())
             .field("tags", &self.live_tag_count())
-            .field("shards", &self.shards.len())
             .finish()
     }
 }

@@ -1,27 +1,16 @@
-//! One partition of the condition manager: the tag indexes for a
-//! disjoint slice of the expression space, plus the per-shard relay
-//! bookkeeping flags.
+//! The condition manager's tag index: the equivalence hash table,
+//! threshold heaps and `None` lists the `Tagged` and `ChangeDriven`
+//! relays search, plus the relay bookkeeping flags.
 //!
-//! In the `Tagged` and `ChangeDriven` modes the manager owns exactly one
-//! shard holding every index — those modes are the degenerate 1-way
-//! partition, which keeps their probe order and counter accounting
-//! byte-identical to the pre-split implementation. In `Sharded` mode the
-//! manager owns `shards + 1` of these: `shards` data shards addressed by
-//! the [router](super::router), and one trailing *global* shard holding
-//! every conjunction whose dependency set is opaque, empty, or spans
-//! several data shards. The global shard is probed last.
+//! The flags carry the soundness state of the change-driven skip:
 //!
-//! A shard's flags carry the soundness state of the change-driven skip,
-//! scoped to its own candidates:
-//!
-//! * [`Shard::all_false`] — every candidate in this shard was false at
-//!   its last resolution and none of the shard's dependency expressions
-//!   has changed since; the shard may be skipped outright.
-//! * [`Shard::probe_all`] — the previous relay left this shard partially
-//!   searched (a hit stopped the walk, or the relay-width budget ran out
-//!   before reaching it); the next probe must ignore the changed-set
-//!   filter because true-but-unsignaled waiters may hide behind
-//!   unchanged dependencies.
+//! * [`Shard::all_false`] — every candidate was false at its last
+//!   resolution and none of the index's dependency expressions has
+//!   changed since; the relay may be skipped outright.
+//! * [`Shard::probe_all`] — the previous relay stopped at a hit and
+//!   left the index partially searched; the next probe must ignore the
+//!   changed-set filter because true-but-unsignaled waiters may hide
+//!   behind unchanged dependencies.
 
 use autosynch_metrics::counters::OccupancyTally;
 use autosynch_predicate::expr::{ExprId, ExprTable};
@@ -33,7 +22,7 @@ use crate::threshold_index::ThresholdIndex;
 
 use super::PredEntry;
 
-/// One partition of the predicate table's tag indexes.
+/// The predicate table's tag indexes.
 pub(crate) struct Shard {
     /// Equivalence tags: O(1) hash probe per live expression.
     pub(super) eq_index: EqIndex,
@@ -42,27 +31,19 @@ pub(crate) struct Shard {
     /// `None` tags, exhaustive list (Tagged mode only).
     pub(super) none_list: Vec<TaggedConj>,
     /// `None` tags with transparent dependencies, listed under each
-    /// dependency expression (ChangeDriven/Sharded modes): indexed by
+    /// dependency expression (ChangeDriven mode): indexed by
     /// `ExprId::index()`, grown on insert.
     pub(super) none_index: Vec<Vec<TaggedConj>>,
     /// `None` tags with opaque or empty dependency sets: probed on every
-    /// non-skipped visit (ChangeDriven/Sharded modes).
+    /// non-skipped visit (ChangeDriven mode).
     pub(super) opaque_list: Vec<TaggedConj>,
-    /// Live `None` tags in this shard, counting each conjunction once
+    /// Live `None` tags, counting each conjunction once
     /// (the index above lists one under every dependency).
     pub(super) none_count: usize,
-    /// Live conjunctions with **opaque** dependency sets, regardless of
-    /// tag class (Sharded mode only). An opaque conjunction can flip on
-    /// a mutation that changes no tracked expression, so a shard
-    /// holding any may not keep its `all_false` certificate across a
-    /// mutated diff. This must count eq/threshold-tagged opaque
-    /// conjunctions too — `opaque_list` holds only the `None`-tagged
-    /// ones, and using it as the certificate test loses wakeups.
-    pub(super) opaque_count: usize,
     /// Every candidate was false at its last resolution and no owned
-    /// dependency changed since — the shard may be skipped.
+    /// dependency changed since — the relay may be skipped.
     pub(super) all_false: bool,
-    /// The shard was left partially searched; the next probe must ignore
+    /// The index was left partially searched; the next probe must ignore
     /// the changed-set filter.
     pub(super) probe_all: bool,
 }
@@ -76,13 +57,12 @@ impl Shard {
             none_index: Vec::new(),
             opaque_list: Vec::new(),
             none_count: 0,
-            opaque_count: 0,
             all_false: false,
             probe_all: false,
         }
     }
 
-    /// Live tags in this shard (each conjunction counted once).
+    /// Live tags (each conjunction counted once).
     pub(super) fn live_tag_count(&self) -> usize {
         self.eq_index.len() + self.thresholds.len() + self.none_list.len() + self.none_count
     }
@@ -103,7 +83,7 @@ impl Shard {
         }
     }
 
-    /// The relay search of one shard: probe the equivalence hash tables,
+    /// The relay search: probe the equivalence hash tables,
     /// then the threshold heaps (Fig. 4), then the `None` tags; the first
     /// candidate whose conjunction is true is returned.
     ///

@@ -403,7 +403,7 @@ fn change_driven_opaque_predicates_always_probe() {
 
 #[test]
 fn change_driven_probe_all_catches_leftover_true_waiters() {
-    // Two waiters become true on one mutation; width 1 signals only
+    // Two waiters become true on one mutation; the relay signals only
     // the first. The follow-up relay runs on unmutated state and must
     // still find the second (the probe-all path).
     let (exprs, count, mut mgr, stats) = cd_setup();
@@ -472,6 +472,40 @@ fn change_driven_futile_wakeup_reactivates() {
 }
 
 #[test]
+fn change_driven_opaque_eq_tagged_conjunction_wakes_on_untracked_mutation() {
+    // An opaque conjunction carrying an Equivalence tag lives in the
+    // eq_index, not the opaque_list. A mutation touching only untracked
+    // state changes no expression value, so the changed-set filter must
+    // still let the candidate through (opaque dependencies intersect
+    // everything) — skipping it would strand the waiter (the armed
+    // Def. 4 validator turns the lost wakeup into a panic).
+    use autosynch_predicate::ast::BoolExpr;
+    struct Flagged {
+        x: i64,
+        flag: bool,
+    }
+    let mut exprs = ExprTable::new();
+    let x = exprs.register("x", |s: &Flagged| s.x);
+    let mut mgr: ConditionManager<Flagged> =
+        ConditionManager::new(MonitorConfig::preset(SignalMode::ChangeDriven).validate_relay(true));
+    let stats = MonitorStats::new(false);
+    let pred = x
+        .eq(5)
+        .and(BoolExpr::custom("flag", |s: &Flagged| s.flag))
+        .into_predicate();
+    let pid = mgr.register_waiter(pred, &stats);
+    // x == 5 already, flag false: the relay runs dry and earns its
+    // all_false certificate.
+    let mut state = Flagged { x: 5, flag: false };
+    assert_eq!(mgr.relay_signal(&state, &exprs, &stats), None);
+    // The mutation flips only the untracked flag — no expression value
+    // moves — yet the waiter must be found.
+    state.flag = true;
+    mgr.note_mutation();
+    assert_eq!(mgr.relay_signal(&state, &exprs, &stats), Some(pid));
+}
+
+#[test]
 fn expr_is_evaluated_once_per_relay() {
     let (exprs, count, mut mgr, stats) = setup();
     // Two equivalence tags and a threshold tag on the same expr.
@@ -484,13 +518,13 @@ fn expr_is_evaluated_once_per_relay() {
     assert_eq!(diff.expr_evals, 1, "value cache collapses expr evals");
 }
 
-// --- sharded relay ----------------------------------------------------
+// --- routed mode: helpers ---------------------------------------------
 //
 // Same contract note as the change-driven tests: `note_mutation` must
 // precede any `relay_signal` whose state differs from the previous
 // call's.
 
-fn shard_setup(
+fn gate_setup(
     config: MonitorConfig,
 ) -> (
     ExprTable<StN>,
@@ -511,8 +545,8 @@ struct StN {
     values: [i64; 4],
 }
 
-/// Two expression handles guaranteed to live in different data shards
-/// (exists for any shard count ≥ 2 among four registered exprs — the
+/// Two expression handles guaranteed to live on different data gates
+/// (exists for any gate count ≥ 2 among four registered exprs — the
 /// FNV key spreads adjacent ids; asserted rather than assumed).
 fn separated_pair(
     handles: &[ExprHandle<StN>],
@@ -528,239 +562,8 @@ fn separated_pair(
 }
 
 #[test]
-fn sharded_manager_allocates_data_plus_global_shards() {
-    let (_, _, mgr, _) = shard_setup(MonitorConfig::preset(SignalMode::Sharded).shards(3));
-    assert_eq!(mgr.shard_slot_count(), 4, "3 data shards + global");
-    let (_, _, cd, _) = shard_setup(MonitorConfig::preset(SignalMode::ChangeDriven));
-    assert_eq!(cd.shard_slot_count(), 1, "non-sharded modes use one shard");
-}
-
-#[test]
-fn sharded_finds_true_threshold_predicate() {
-    let (exprs, handles, mut mgr, stats) = shard_setup(MonitorConfig::preset(SignalMode::Sharded));
-    let v = handles[0];
-    let pid = mgr.register_waiter(v.ge(10).into_predicate(), &stats);
-    assert_eq!(mgr.relay_signal(&StN::default(), &exprs, &stats), None);
-    mgr.note_mutation();
-    let mut state = StN::default();
-    state.values[0] = 10;
-    assert_eq!(mgr.relay_signal(&state, &exprs, &stats), Some(pid));
-}
-
-#[test]
-fn sharded_skips_relay_on_unchanged_state() {
-    let (exprs, handles, mut mgr, stats) = shard_setup(MonitorConfig::preset(SignalMode::Sharded));
-    mgr.register_waiter(handles[0].ge(10).into_predicate(), &stats);
-    mgr.register_waiter(handles[1].ne(0).into_predicate(), &stats);
-    let state = StN::default();
-    assert_eq!(mgr.relay_signal(&state, &exprs, &stats), None);
-    let before = counted(&mut mgr, &stats);
-    assert_eq!(mgr.relay_signal(&state, &exprs, &stats), None);
-    assert_eq!(mgr.relay_signal(&state, &exprs, &stats), None);
-    let diff = counted(&mut mgr, &stats).since(&before);
-    assert_eq!(diff.relay_skips, 2);
-    assert_eq!(diff.expr_evals, 0);
-    assert_eq!(diff.pred_evals, 0);
-}
-
-#[test]
-fn sharded_confines_post_hit_probes_to_the_hit_shard() {
-    // The headline saving over plain change-driven: waiters on `a != 0`
-    // and `b != 0` (None tags) live in different shards. After the
-    // relay that signals waiter A, the follow-up relay on unmutated
-    // state re-probes only A's shard — CD's global probe-all would
-    // re-evaluate waiter B too.
-    let (exprs, handles, mut mgr, stats) = shard_setup(MonitorConfig::preset(SignalMode::Sharded));
-    let (a, b) = separated_pair(&handles, &mgr);
-    let pid_a = mgr.register_waiter(a.ne(0).into_predicate(), &stats);
-    let _pid_b = mgr.register_waiter(b.ne(0).into_predicate(), &stats);
-    // Relay 1: nothing true; every shard earns its all_false certificate.
-    assert_eq!(mgr.relay_signal(&StN::default(), &exprs, &stats), None);
-    // Relay 2: `a` flips; only A's shard is probed and it hits.
-    mgr.note_mutation();
-    let mut state = StN::default();
-    state.values[a.id().index()] = 1;
-    assert_eq!(mgr.relay_signal(&state, &exprs, &stats), Some(pid_a));
-    // Relay 3 (unmutated): only the hit shard lacks a certificate. Its
-    // only waiter was signaled (tags retired), so nothing is evaluated;
-    // B's waiter in particular is NOT re-probed.
-    let before = counted(&mut mgr, &stats);
-    assert_eq!(mgr.relay_signal(&state, &exprs, &stats), None);
-    let diff = counted(&mut mgr, &stats).since(&before);
-    assert_eq!(diff.pred_evals, 0, "no candidate outside the hit shard");
-    assert_eq!(diff.expr_evals, 0, "cached values suffice");
-    // Relay 4: every shard certified again — skipped outright.
-    let before = counted(&mut mgr, &stats);
-    assert_eq!(mgr.relay_signal(&state, &exprs, &stats), None);
-    assert_eq!(counted(&mut mgr, &stats).since(&before).relay_skips, 1);
-}
-
-#[test]
-fn sharded_batches_independent_shard_signals() {
-    // One mutation satisfies waiters in two different shards; with
-    // relay_width 2 a single relay call signals both in one batched
-    // pass and records the extra signal.
-    let (exprs, handles, mut mgr, stats) =
-        shard_setup(MonitorConfig::preset(SignalMode::Sharded).relay_width(2));
-    let (a, b) = separated_pair(&handles, &mgr);
-    let pid_a = mgr.register_waiter(a.ne(0).into_predicate(), &stats);
-    let pid_b = mgr.register_waiter(b.ne(0).into_predicate(), &stats);
-    assert_eq!(mgr.relay_signal(&StN::default(), &exprs, &stats), None);
-    mgr.note_mutation();
-    let mut state = StN::default();
-    state.values[a.id().index()] = 1;
-    state.values[b.id().index()] = 1;
-    let before = counted(&mut mgr, &stats);
-    let hit = mgr.relay_signal(&state, &exprs, &stats);
-    assert!(hit == Some(pid_a) || hit == Some(pid_b));
-    let diff = counted(&mut mgr, &stats).since(&before);
-    assert_eq!(diff.signals, 2, "both waiters signaled in one call");
-    assert_eq!(diff.batched_signals, 1, "the second signal was batched");
-    assert_eq!(mgr.waiting_count(), 0);
-    assert_eq!(mgr.signaled_count(), 2);
-}
-
-#[test]
-fn sharded_width_one_still_finds_leftover_true_waiters() {
-    // Width 1 stops at the first hit; the other shard's true waiter
-    // must be found by the follow-up relay on unmutated state.
-    let (exprs, handles, mut mgr, stats) = shard_setup(MonitorConfig::preset(SignalMode::Sharded));
-    let (a, b) = separated_pair(&handles, &mgr);
-    let pid_a = mgr.register_waiter(a.ne(0).into_predicate(), &stats);
-    let pid_b = mgr.register_waiter(b.ne(0).into_predicate(), &stats);
-    assert_eq!(mgr.relay_signal(&StN::default(), &exprs, &stats), None);
-    mgr.note_mutation();
-    let mut state = StN::default();
-    state.values[a.id().index()] = 1;
-    state.values[b.id().index()] = 1;
-    let hit1 = mgr.relay_signal(&state, &exprs, &stats).unwrap();
-    let hit2 = mgr.relay_signal(&state, &exprs, &stats).unwrap();
-    let mut signaled = [hit1, hit2];
-    signaled.sort();
-    let mut expected = [pid_a, pid_b];
-    expected.sort();
-    assert_eq!(signaled, expected);
-}
-
-#[test]
-fn sharded_cross_shard_conjunction_lands_in_global_and_signals() {
-    let (exprs, handles, mut mgr, stats) = shard_setup(MonitorConfig::preset(SignalMode::Sharded));
-    let (a, b) = separated_pair(&handles, &mgr);
-    let before = counted(&mut mgr, &stats);
-    let pid = mgr.register_waiter(a.ge(1).and(b.ge(1)).into_predicate(), &stats);
-    let diff = counted(&mut mgr, &stats).since(&before);
-    assert_eq!(diff.cross_shard_preds, 1, "spanning conjunction is global");
-    assert_eq!(mgr.relay_signal(&StN::default(), &exprs, &stats), None);
-    mgr.note_mutation();
-    let mut state = StN::default();
-    state.values[a.id().index()] = 1;
-    state.values[b.id().index()] = 1;
-    assert_eq!(mgr.relay_signal(&state, &exprs, &stats), Some(pid));
-}
-
-#[test]
-fn sharded_opaque_predicates_go_global_and_always_probe() {
-    let (exprs, _, mut mgr, stats) = shard_setup(MonitorConfig::preset(SignalMode::Sharded));
-    let before = counted(&mut mgr, &stats);
-    let pid = mgr.register_waiter(
-        Predicate::custom("odd", |s: &StN| s.values[0] % 2 == 1),
-        &stats,
-    );
-    assert_eq!(
-        counted(&mut mgr, &stats).since(&before).cross_shard_preds,
-        1,
-        "opaque conjunctions are global"
-    );
-    assert_eq!(mgr.relay_signal(&StN::default(), &exprs, &stats), None);
-    mgr.note_mutation();
-    let mut state = StN::default();
-    state.values[0] = 3;
-    assert_eq!(mgr.relay_signal(&state, &exprs, &stats), Some(pid));
-    assert_eq!(mgr.live_tag_count(), 0);
-}
-
-#[test]
-fn sharded_opaque_eq_tagged_conjunction_wakes_on_untracked_mutation() {
-    // Regression (found by review): an opaque conjunction carrying an
-    // Equivalence tag lives in the global shard's eq_index, not its
-    // opaque_list. A mutation touching only untracked state changes no
-    // expression value, so the certificate test must consult the
-    // shard's full opaque count — keying it on opaque_list alone keeps
-    // the global shard certified and strands the waiter (the armed
-    // Def. 4 validator turns the lost wakeup into a panic).
-    use autosynch_predicate::ast::BoolExpr;
-    struct Flagged {
-        x: i64,
-        flag: bool,
-    }
-    let mut exprs = ExprTable::new();
-    let x = exprs.register("x", |s: &Flagged| s.x);
-    let mut mgr: ConditionManager<Flagged> =
-        ConditionManager::new(MonitorConfig::preset(SignalMode::Sharded).validate_relay(true));
-    let stats = MonitorStats::new(false);
-    let pred = x
-        .eq(5)
-        .and(BoolExpr::custom("flag", |s: &Flagged| s.flag))
-        .into_predicate();
-    let pid = mgr.register_waiter(pred, &stats);
-    // x == 5 already, flag false: the relay runs dry and every shard
-    // earns its all_false certificate.
-    let mut state = Flagged { x: 5, flag: false };
-    assert_eq!(mgr.relay_signal(&state, &exprs, &stats), None);
-    // The mutation flips only the untracked flag — no expression value
-    // moves — yet the waiter must be found.
-    state.flag = true;
-    mgr.note_mutation();
-    assert_eq!(mgr.relay_signal(&state, &exprs, &stats), Some(pid));
-}
-
-#[test]
-fn sharded_cleans_up_indexes_on_deactivation() {
-    let (exprs, handles, mut mgr, stats) = shard_setup(MonitorConfig::preset(SignalMode::Sharded));
-    let (a, b) = separated_pair(&handles, &mgr);
-    let pid_a = mgr.register_waiter(a.ne(0).into_predicate(), &stats);
-    let pid_cross = mgr.register_waiter(a.ge(1).and(b.ge(1)).into_predicate(), &stats);
-    assert_eq!(mgr.live_tag_count(), 2);
-    mgr.note_mutation();
-    let mut state = StN::default();
-    state.values[a.id().index()] = 2;
-    state.values[b.id().index()] = 2;
-    let hit1 = mgr.relay_signal(&state, &exprs, &stats).unwrap();
-    let hit2 = mgr.relay_signal(&state, &exprs, &stats).unwrap();
-    let mut signaled = [hit1, hit2];
-    signaled.sort();
-    let mut expected = [pid_a, pid_cross];
-    expected.sort();
-    assert_eq!(signaled, expected);
-    mgr.consume_signal(pid_a, &stats);
-    mgr.consume_signal(pid_cross, &stats);
-    assert_eq!(mgr.live_tag_count(), 0);
-    assert_eq!(mgr.waiting_count(), 0);
-    assert_eq!(mgr.signaled_count(), 0);
-}
-
-#[test]
-fn sharded_futile_wakeup_reactivates_into_the_same_shard() {
-    let (exprs, handles, mut mgr, stats) = shard_setup(MonitorConfig::preset(SignalMode::Sharded));
-    let v = handles[0];
-    let pid = mgr.register_waiter(v.ge(10).into_predicate(), &stats);
-    mgr.note_mutation();
-    let mut state = StN::default();
-    state.values[0] = 10;
-    mgr.relay_signal(&state, &exprs, &stats);
-    // Barged: the predicate is false again when the thread wakes.
-    mgr.note_mutation();
-    state.values[0] = 0;
-    mgr.mark_futile(pid, &stats);
-    assert_eq!(mgr.live_tag_count(), 1);
-    mgr.note_mutation();
-    state.values[0] = 12;
-    assert_eq!(mgr.relay_signal(&state, &exprs, &stats), Some(pid));
-}
-
-#[test]
-fn sharded_diff_publishes_to_the_ring() {
-    let (exprs, handles, mut mgr, stats) = shard_setup(MonitorConfig::preset(SignalMode::Sharded));
+fn routed_diff_publishes_to_the_ring() {
+    let (exprs, handles, mut mgr, stats) = gate_setup(MonitorConfig::preset(SignalMode::Routed));
     let v = handles[0];
     mgr.register_waiter(v.ge(10).into_predicate(), &stats);
     let ring = mgr.ring();
@@ -776,27 +579,11 @@ fn sharded_diff_publishes_to_the_ring() {
     assert_eq!(values[v.id().index()], Some(7));
 }
 
-#[test]
-fn sharded_single_data_shard_degenerates_to_change_driven() {
-    // shards(1) still has a global shard but every transparent
-    // conjunction routes to data shard 0 — behaviour (not counters)
-    // matches CD.
-    let (exprs, handles, mut mgr, stats) =
-        shard_setup(MonitorConfig::preset(SignalMode::Sharded).shards(1));
-    let v = handles[0];
-    let pid = mgr.register_waiter(v.eq(5).into_predicate(), &stats);
-    assert_eq!(mgr.relay_signal(&StN::default(), &exprs, &stats), None);
-    mgr.note_mutation();
-    let mut state = StN::default();
-    state.values[0] = 5;
-    assert_eq!(mgr.relay_signal(&state, &exprs, &stats), Some(pid));
-}
-
 // --- routed mode: gates and validator ---------------------------------
 
 #[test]
 fn routed_routes_confined_and_spanning_predicates_to_their_gates() {
-    let (_, handles, mut mgr, stats) = shard_setup(MonitorConfig::preset(SignalMode::Routed));
+    let (_, handles, mut mgr, stats) = gate_setup(MonitorConfig::preset(SignalMode::Routed));
     let (a, b) = separated_pair(&handles, &mgr);
     let confined = mgr.register_waiter(a.ge(10).into_predicate(), &stats);
     assert_eq!(
@@ -817,7 +604,7 @@ fn routed_routes_confined_and_spanning_predicates_to_their_gates() {
 
 #[test]
 fn routed_unmutated_relay_skips_and_wakes_no_one() {
-    let (exprs, handles, mut mgr, stats) = shard_setup(MonitorConfig::preset(SignalMode::Routed));
+    let (exprs, handles, mut mgr, stats) = gate_setup(MonitorConfig::preset(SignalMode::Routed));
     mgr.register_waiter(handles[0].ge(10).into_predicate(), &stats);
     mgr.note_mutation();
     let state = StN::default();
@@ -842,7 +629,7 @@ fn routed_validator_catches_a_lost_token() {
     // that made its predicate true — and the armed validator must
     // catch it at that very relay. (The parked helper thread is
     // intentionally leaked; the panic is the test's success.)
-    let (exprs, handles, mut mgr, stats) = shard_setup(MonitorConfig::preset(SignalMode::Routed));
+    let (exprs, handles, mut mgr, stats) = gate_setup(MonitorConfig::preset(SignalMode::Routed));
     let (a, b) = separated_pair(&handles, &mgr);
     let pid = mgr.register_waiter(a.ge(10).into_predicate(), &stats);
     let wrong_gate = mgr.router.shard_of_expr(b.id());
@@ -867,7 +654,7 @@ fn routed_validator_catches_a_lost_token() {
 
 #[test]
 fn named_mutation_diff_evaluates_only_the_touched_expressions() {
-    let (exprs, handles, mut mgr, stats) = shard_setup(MonitorConfig::preset(SignalMode::Sharded));
+    let (exprs, handles, mut mgr, stats) = gate_setup(MonitorConfig::preset(SignalMode::Routed));
     let (a, b) = separated_pair(&handles, &mgr);
     mgr.register_waiter(a.ge(10).into_predicate(), &stats);
     mgr.register_waiter(b.ge(10).into_predicate(), &stats);
@@ -893,7 +680,7 @@ fn named_mutation_diff_evaluates_only_the_touched_expressions() {
 
 #[test]
 fn blanket_mutation_poisons_a_named_window() {
-    let (exprs, handles, mut mgr, stats) = shard_setup(MonitorConfig::preset(SignalMode::Sharded));
+    let (exprs, handles, mut mgr, stats) = gate_setup(MonitorConfig::preset(SignalMode::Routed));
     let (a, b) = separated_pair(&handles, &mgr);
     mgr.register_waiter(a.ge(10).into_predicate(), &stats);
     mgr.register_waiter(b.ge(10).into_predicate(), &stats);

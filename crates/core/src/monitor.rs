@@ -881,7 +881,7 @@ impl<S> Monitor<S> {
     /// against the same state under one lock hold; `None` marks
     /// expressions that diff did not evaluate (no active dependents at
     /// the time). Returns `None` when no diff has been published (only
-    /// the `Sharded` and `Routed` modes publish), when the monitor
+    /// the `Routed` mode publishes), when the monitor
     /// outgrew the ring's per-slot capacity, or when a validate-retry
     /// read could not complete. `Routed`-mode waiters run their
     /// lock-free self-checks against exactly this read.
@@ -2486,11 +2486,6 @@ mod tests {
         mode_behaves_identically(SignalMode::ChangeDriven);
     }
 
-    #[test]
-    fn sharded_mode_behaves_identically() {
-        mode_behaves_identically(SignalMode::Sharded);
-    }
-
     fn relay_chain(config: MonitorConfig) {
         let m = Arc::new(Monitor::with_config(
             Counter { value: 0 },
@@ -2522,11 +2517,6 @@ mod tests {
     #[test]
     fn change_driven_relay_chains_through_multiple_waiters() {
         relay_chain(MonitorConfig::preset(SignalMode::ChangeDriven));
-    }
-
-    #[test]
-    fn sharded_relay_chains_through_multiple_waiters() {
-        relay_chain(MonitorConfig::preset(SignalMode::Sharded).shards(3));
     }
 
     #[test]
@@ -2793,7 +2783,7 @@ mod tests {
 
     #[test]
     fn tracked_writes_narrow_the_diff() {
-        let (m, x, y) = tracked_pair(MonitorConfig::preset(SignalMode::Sharded));
+        let (m, x, y) = tracked_pair(MonitorConfig::preset(SignalMode::ChangeDriven));
         let x_cond = m.compile(x.ge(5));
         let y_cond = m.compile(y.ge(5));
         // Two pinned waiters keep both expressions in the dependency
@@ -2887,7 +2877,7 @@ mod tests {
         }
         let m = Arc::new(Monitor::with_config(
             Raw { x: 0, y: 0 },
-            MonitorConfig::preset(SignalMode::Sharded).validate_relay(true),
+            MonitorConfig::preset(SignalMode::ChangeDriven).validate_relay(true),
         ));
         let x = m.register_expr("x", |s: &Raw| s.x);
         let y = m.register_expr("y", |s: &Raw| s.y);
@@ -2919,7 +2909,7 @@ mod tests {
     fn latest_expr_snapshot_reads_without_the_monitor_lock() {
         let m = Arc::new(Monitor::with_config(
             Counter { value: 0 },
-            MonitorConfig::preset(SignalMode::Sharded),
+            MonitorConfig::preset(SignalMode::Routed),
         ));
         let v = value_expr(&m);
         let at_least_five = m.compile(v.ge(5));
@@ -3130,8 +3120,9 @@ mod tests {
         });
     }
 
-    /// Two hand-parked waiters made true by one write at relay width 1,
-    /// so exactly one holds the baton; returns them in signaling order.
+    /// Two hand-parked waiters made true by one write; a relay signals
+    /// one, so exactly one holds the baton. Returns them in signaling
+    /// order.
     fn two_true_waiters_one_baton(
         m: &Monitor<Counter>,
         v: ExprHandle<Counter>,

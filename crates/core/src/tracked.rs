@@ -33,8 +33,8 @@
 //! ```
 //!
 //! With `Monitor::enter_tracked`, every occupancy's writes are named
-//! automatically — the precise diffs of the `ChangeDriven`, `Sharded`
-//! and `Routed` modes become the default on every workload instead of an
+//! automatically — the precise diffs of the `ChangeDriven` and `Routed`
+//! modes become the default on every workload instead of an
 //! opt-in for careful callers.
 
 use std::fmt;

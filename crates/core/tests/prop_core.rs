@@ -108,7 +108,6 @@ proptest! {
 fn run_schedule(
     mode: SignalMode,
     index: ThresholdIndexKind,
-    relay_width: usize,
     validate: bool,
     adds: &[i64],
     demands: &[i64],
@@ -120,7 +119,6 @@ fn run_schedule(
     let config = MonitorConfig::new()
         .mode(mode)
         .threshold_index(index)
-        .relay_width(relay_width)
         .validate_relay(validate);
     let monitor = Arc::new(Monitor::with_config(Pool { level: 0 }, config));
     let level = monitor.register_expr("level", |p: &Pool| p.level);
@@ -170,7 +168,6 @@ proptest! {
             SignalMode::ChangeDriven,
         ]),
         heap in any::<bool>(),
-        width in 1usize..=3,
         validate in any::<bool>(),
     ) {
         let index = if heap {
@@ -178,7 +175,7 @@ proptest! {
         } else {
             ThresholdIndexKind::OrderedMap
         };
-        run_schedule(mode, index, width, validate, &adds, &demands);
+        run_schedule(mode, index, validate, &adds, &demands);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Edge-case integration tests for the monitor runtime: relay width,
-//! panic safety across all three monitor types, mixed tag classes under
+//! Edge-case integration tests for the monitor runtime: one signal per
+//! relay, panic safety across all three monitor types, mixed tag classes under
 //! one roof, and expression registration after startup.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -17,43 +17,10 @@ struct Counter {
 }
 
 #[test]
-fn relay_width_two_wakes_two_eligible_waiters() {
-    // Two waiters on thresholds that one update satisfies at once. With
-    // width 2, a single relay wakes both (two signals from one call).
-    let config = MonitorConfig::new().relay_width(2);
-    let monitor = Arc::new(Monitor::with_config(Counter { value: 0 }, config));
-    let value = monitor.register_expr("value", |s| s.value);
-    let woken = Arc::new(AtomicUsize::new(0));
-
-    let handles: Vec<_> = [5i64, 7]
-        .into_iter()
-        .map(|k| {
-            let monitor = Arc::clone(&monitor);
-            let woken = Arc::clone(&woken);
-            thread::spawn(move || {
-                monitor.enter(|g| g.wait_transient(value.ge(k)));
-                woken.fetch_add(1, Ordering::SeqCst);
-            })
-        })
-        .collect();
-    thread::sleep(Duration::from_millis(30));
-
-    monitor.with(|s| s.value = 10);
-    for handle in handles {
-        handle.join().unwrap();
-    }
-    assert_eq!(woken.load(Ordering::SeqCst), 2);
-    let snap = monitor.stats_snapshot();
-    // Both signals happened; relay_calls may be as low as 1 (the single
-    // mutating exit).
-    assert!(snap.counters.signals >= 2);
-    assert_eq!(snap.counters.broadcasts, 0);
-}
-
-#[test]
 fn relay_width_one_is_strictly_sequential() {
-    // Same scenario with the paper's width 1: the first relay wakes one;
-    // the second waiter is woken by the first one's exit relay.
+    // Two waiters on thresholds that one update satisfies at once. The
+    // paper's relay signals one thread per call: the first relay wakes
+    // one; the second waiter is woken by the first one's exit relay.
     let monitor = Arc::new(Monitor::new(Counter { value: 0 }));
     let value = monitor.register_expr("value", |s| s.value);
     let handles: Vec<_> = [5i64, 7]

@@ -64,7 +64,6 @@ pub struct SyncCounters {
     probes_skipped: AtomicU64,
     unchanged_exprs: AtomicU64,
     cross_shard_preds: AtomicU64,
-    batched_signals: AtomicU64,
     ring_retries: AtomicU64,
     unparks: AtomicU64,
     waiter_self_checks: AtomicU64,
@@ -164,12 +163,9 @@ owned_counters! {
     /// A snapshot-diff expression evaluation whose value matched the
     /// cached snapshot (no dependents need probing on its account).
     unchanged_exprs,
-    /// A conjunction whose dependency set spans several shards (or is
-    /// opaque) and therefore routed to the global shard (sharded mode).
+    /// A conjunction whose dependency set spans several gates (or is
+    /// opaque) and therefore routed to the global gate (routed mode).
     cross_shard_preds,
-    /// A signal issued beyond the first within a single batched relay
-    /// pass (sharded mode with `relay_width > 1`).
-    batched_signals,
     /// A wake the routed relay resolved through the equivalence
     /// route: the published value of an eq-tagged expression named
     /// the single slot whose waiters can have flipped, so exactly
@@ -299,7 +295,6 @@ impl SyncCounters {
             probes_skipped: self.probes_skipped.load(Ordering::Relaxed),
             unchanged_exprs: self.unchanged_exprs.load(Ordering::Relaxed),
             cross_shard_preds: self.cross_shard_preds.load(Ordering::Relaxed),
-            batched_signals: self.batched_signals.load(Ordering::Relaxed),
             ring_retries: self.ring_retries.load(Ordering::Relaxed),
             unparks: self.unparks.load(Ordering::Relaxed),
             waiter_self_checks: self.waiter_self_checks.load(Ordering::Relaxed),
@@ -345,7 +340,6 @@ impl SyncCounters {
             probes_skipped: self.probes_skipped.swap(0, Ordering::Relaxed),
             unchanged_exprs: self.unchanged_exprs.swap(0, Ordering::Relaxed),
             cross_shard_preds: self.cross_shard_preds.swap(0, Ordering::Relaxed),
-            batched_signals: self.batched_signals.swap(0, Ordering::Relaxed),
             ring_retries: self.ring_retries.swap(0, Ordering::Relaxed),
             unparks: self.unparks.swap(0, Ordering::Relaxed),
             waiter_self_checks: self.waiter_self_checks.swap(0, Ordering::Relaxed),
@@ -383,7 +377,6 @@ impl SyncCounters {
             &self.probes_skipped,
             &self.unchanged_exprs,
             &self.cross_shard_preds,
-            &self.batched_signals,
             &self.ring_retries,
             &self.unparks,
             &self.waiter_self_checks,
@@ -425,7 +418,6 @@ pub struct CounterSnapshot {
     pub probes_skipped: u64,
     pub unchanged_exprs: u64,
     pub cross_shard_preds: u64,
-    pub batched_signals: u64,
     pub ring_retries: u64,
     pub unparks: u64,
     pub waiter_self_checks: u64,
@@ -480,7 +472,6 @@ impl CounterSnapshot {
             cross_shard_preds: self
                 .cross_shard_preds
                 .saturating_sub(earlier.cross_shard_preds),
-            batched_signals: self.batched_signals.saturating_sub(earlier.batched_signals),
             ring_retries: self.ring_retries.saturating_sub(earlier.ring_retries),
             unparks: self.unparks.saturating_sub(earlier.unparks),
             waiter_self_checks: self
@@ -611,10 +602,9 @@ mod tests {
             probes_skipped: 12,
             unchanged_exprs: 13,
             cross_shard_preds: 14,
-            batched_signals: 15,
-            eq_routed_wakes: 16,
-            ladder_skips: 17,
-            transient_cache_hits: 18,
+            eq_routed_wakes: 15,
+            ladder_skips: 16,
+            transient_cache_hits: 17,
         };
         c.flush(&mut tally);
         assert_eq!(
@@ -639,10 +629,9 @@ mod tests {
             probes_skipped: 12,
             unchanged_exprs: 13,
             cross_shard_preds: 14,
-            batched_signals: 15,
-            eq_routed_wakes: 16,
-            ladder_skips: 17,
-            transient_cache_hits: 18,
+            eq_routed_wakes: 15,
+            ladder_skips: 16,
+            transient_cache_hits: 17,
             ..CounterSnapshot::default()
         };
         assert_eq!(c.snapshot(), expected);

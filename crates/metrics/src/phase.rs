@@ -30,9 +30,6 @@ pub enum Phase {
     /// compute the changed set (change-driven relay only; an extension
     /// column beyond the paper's Table 1).
     SnapshotDiff,
-    /// Routing conjunctions to shards and building the per-relay shard
-    /// plan (sharded mode only; an extension column beyond the paper).
-    ShardRoute,
     /// A parked waiter re-checking its own predicate against the
     /// lock-free snapshot ring (routed mode only) — the predicate work
     /// waiter-side parking moves *out* of the signaler's critical
@@ -44,15 +41,14 @@ pub enum Phase {
 
 impl Phase {
     /// All phases in Table 1 column order (with the change-driven
-    /// snapshot-diff and sharded-routing extensions inserted before
+    /// snapshot-diff and routed self-check extensions inserted before
     /// "others").
-    pub const ALL: [Phase; 8] = [
+    pub const ALL: [Phase; 7] = [
         Phase::Await,
         Phase::Lock,
         Phase::RelaySignal,
         Phase::TagManager,
         Phase::SnapshotDiff,
-        Phase::ShardRoute,
         Phase::ParkRecheck,
         Phase::Other,
     ];
@@ -65,7 +61,6 @@ impl Phase {
             Phase::RelaySignal => "relaySignal",
             Phase::TagManager => "tagMgr",
             Phase::SnapshotDiff => "snapDiff",
-            Phase::ShardRoute => "shardRoute",
             Phase::ParkRecheck => "parkRecheck",
             Phase::Other => "others",
         }
@@ -78,9 +73,8 @@ impl Phase {
             Phase::RelaySignal => 2,
             Phase::TagManager => 3,
             Phase::SnapshotDiff => 4,
-            Phase::ShardRoute => 5,
-            Phase::ParkRecheck => 6,
-            Phase::Other => 7,
+            Phase::ParkRecheck => 5,
+            Phase::Other => 6,
         }
     }
 }
@@ -104,7 +98,7 @@ impl fmt::Display for Phase {
 /// ```
 #[derive(Debug)]
 pub struct PhaseTimes {
-    nanos: [AtomicU64; 8],
+    nanos: [AtomicU64; 7],
     enabled: AtomicBool,
 }
 
@@ -177,7 +171,7 @@ impl PhaseTimes {
 
     /// Captures the accumulated times.
     pub fn snapshot(&self) -> PhaseSnapshot {
-        let mut nanos = [0u64; 8];
+        let mut nanos = [0u64; 7];
         for (slot, atomic) in nanos.iter_mut().zip(&self.nanos) {
             *slot = atomic.load(Ordering::Relaxed);
         }
@@ -196,7 +190,7 @@ impl PhaseTimes {
     /// `add` lands in exactly one of {returned snapshot, post-drain
     /// accumulators}.
     pub fn drain(&self) -> PhaseSnapshot {
-        let mut nanos = [0u64; 8];
+        let mut nanos = [0u64; 7];
         for (slot, atomic) in nanos.iter_mut().zip(&self.nanos) {
             *slot = atomic.swap(0, Ordering::Relaxed);
         }
@@ -235,7 +229,7 @@ impl Drop for PhaseGuard<'_> {
 /// A point-in-time copy of [`PhaseTimes`], renderable as a Table 1 row.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseSnapshot {
-    nanos: [u64; 8],
+    nanos: [u64; 7],
 }
 
 impl PhaseSnapshot {
@@ -266,7 +260,7 @@ impl PhaseSnapshot {
 
     /// Phase-wise difference `self - earlier`, saturating at zero.
     pub fn since(&self, earlier: &PhaseSnapshot) -> PhaseSnapshot {
-        let mut nanos = [0u64; 8];
+        let mut nanos = [0u64; 7];
         for (i, slot) in nanos.iter_mut().enumerate() {
             *slot = self.nanos[i].saturating_sub(earlier.nanos[i]);
         }

@@ -256,7 +256,6 @@ pub fn make_buffer(mechanism: Mechanism, capacity: usize) -> Arc<dyn BoundedBuff
         Mechanism::AutoSynchT
         | Mechanism::AutoSynch
         | Mechanism::AutoSynchCD
-        | Mechanism::AutoSynchShard
         | Mechanism::AutoSynchRoute => Arc::new(AutoSynchBoundedBuffer::new(capacity, mechanism)),
     }
 }

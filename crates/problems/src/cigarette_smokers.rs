@@ -246,7 +246,6 @@ pub fn make_table(mechanism: Mechanism) -> Arc<dyn SmokersTable> {
         Mechanism::AutoSynchT
         | Mechanism::AutoSynch
         | Mechanism::AutoSynchCD
-        | Mechanism::AutoSynchShard
         | Mechanism::AutoSynchRoute => Arc::new(AutoSynchTable::new(mechanism)),
     }
 }

@@ -208,7 +208,6 @@ pub fn make_barrier(mechanism: Mechanism, parties: usize) -> Arc<dyn CyclicBarri
         Mechanism::AutoSynchT
         | Mechanism::AutoSynch
         | Mechanism::AutoSynchCD
-        | Mechanism::AutoSynchShard
         | Mechanism::AutoSynchRoute => Arc::new(AutoSynchBarrier::new(parties, mechanism)),
     }
 }

@@ -227,7 +227,6 @@ pub fn make_table(mechanism: Mechanism, n: usize) -> Arc<dyn DiningTable> {
         Mechanism::AutoSynchT
         | Mechanism::AutoSynch
         | Mechanism::AutoSynchCD
-        | Mechanism::AutoSynchShard
         | Mechanism::AutoSynchRoute => Arc::new(AutoSynchTable::new(n, mechanism)),
     }
 }

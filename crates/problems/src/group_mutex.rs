@@ -269,7 +269,6 @@ pub fn make_room(mechanism: Mechanism, forums: usize) -> Arc<dyn ForumRoom> {
         Mechanism::AutoSynchT
         | Mechanism::AutoSynch
         | Mechanism::AutoSynchCD
-        | Mechanism::AutoSynchShard
         | Mechanism::AutoSynchRoute => Arc::new(AutoSynchForumRoom::new(forums, mechanism)),
     }
 }

@@ -227,7 +227,6 @@ pub fn make_vessel(mechanism: Mechanism) -> Arc<dyn WaterVessel> {
         Mechanism::AutoSynchT
         | Mechanism::AutoSynch
         | Mechanism::AutoSynchCD
-        | Mechanism::AutoSynchShard
         | Mechanism::AutoSynchRoute => Arc::new(AutoSynchVessel::new(mechanism)),
     }
 }

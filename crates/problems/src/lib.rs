@@ -25,10 +25,10 @@
 //! | [`cyclic_barrier`] | cyclic barrier | globalized threshold; explicit **must** `signalAll` |
 //!
 //! A thirteenth workload, [`sharded_queues`] (N independent bounded
-//! queues behind one monitor, disequality predicates), is the showcase
-//! for the dependency-sharded condition manager: its `None`-tagged
-//! waiting conditions give the flat manager nothing to prune, while the
-//! sharded one confines each relay to the single affected shard.
+//! queues behind one monitor, disequality predicates), is a many-queue
+//! `None`-tag workload: its waiting conditions give the tag index
+//! nothing to prune, so only the change-driven filter and the routed
+//! mode's per-gate wakes keep a relay from scanning every queue.
 //!
 //! A fourteenth, [`wake_storm`] (K hot expressions × N waiters each,
 //! channels advancing out of phase), is the showcase for targeted wake

@@ -16,7 +16,7 @@ use autosynch::stats::StatsSnapshot;
 use autosynch_metrics::ctx::{self, CtxSwitches};
 
 /// The four signaling mechanisms compared in §6.2, plus the
-/// change-driven and sharded extensions this reproduction adds.
+/// change-driven and routed extensions this reproduction adds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mechanism {
     /// Hand-written condition variables with `signal`/`signalAll`.
@@ -32,20 +32,15 @@ pub enum Mechanism {
     /// expression versioning and dependency-indexed probing — an
     /// extension beyond the paper, benchmarked as an ablation.
     AutoSynchCD,
-    /// Sharded change-driven AutoSynch (`autosynch_shard`): the
-    /// condition manager partitioned by dependency footprint, with
-    /// batched relays and a lock-free snapshot ring — the scaling
-    /// extension layered on top of AutoSynch-CD.
-    AutoSynchShard,
     /// Routed-wake AutoSynch (`SignalMode::Routed`): waiters park on
-    /// slot-bucketed per-shard wait queues and re-check their own
+    /// slot-bucketed per-gate wait queues and re-check their own
     /// predicates against the snapshot ring without the monitor lock;
     /// a signaler's exit only publishes the diff epoch and announces
     /// targeted wakes — per-bucket token sweeps (waiter-forwarded,
     /// claimer-re-injected) and eq-index-directed single unparks for
     /// equivalence-shaped compiled conditions. The
     /// critical-section-shrinking extension layered on top of
-    /// AutoSynch-Shard.
+    /// AutoSynch-CD's snapshot diff.
     AutoSynchRoute,
 }
 
@@ -54,13 +49,12 @@ impl Mechanism {
     /// this reproduction's extensions. Sweeps and cross-mechanism tests
     /// iterate this — extensions must appear here or they are silently
     /// skipped. For exactly the paper's legend use [`Mechanism::PAPER`].
-    pub const ALL: [Mechanism; 7] = [
+    pub const ALL: [Mechanism; 6] = [
         Mechanism::Explicit,
         Mechanism::Baseline,
         Mechanism::AutoSynchT,
         Mechanism::AutoSynch,
         Mechanism::AutoSynchCD,
-        Mechanism::AutoSynchShard,
         Mechanism::AutoSynchRoute,
     ];
 
@@ -75,21 +69,19 @@ impl Mechanism {
 
     /// Everything plotted in Figs. 11–13 (baseline off the chart), plus
     /// the extensions.
-    pub const WITHOUT_BASELINE: [Mechanism; 6] = [
+    pub const WITHOUT_BASELINE: [Mechanism; 5] = [
         Mechanism::Explicit,
         Mechanism::AutoSynchT,
         Mechanism::AutoSynch,
         Mechanism::AutoSynchCD,
-        Mechanism::AutoSynchShard,
         Mechanism::AutoSynchRoute,
     ];
 
     /// The automatic-signal family the runtime implements.
-    pub const AUTOMATIC: [Mechanism; 5] = [
+    pub const AUTOMATIC: [Mechanism; 4] = [
         Mechanism::AutoSynchT,
         Mechanism::AutoSynch,
         Mechanism::AutoSynchCD,
-        Mechanism::AutoSynchShard,
         Mechanism::AutoSynchRoute,
     ];
 
@@ -101,7 +93,6 @@ impl Mechanism {
             Mechanism::AutoSynchT => "AutoSynch-T",
             Mechanism::AutoSynch => "AutoSynch",
             Mechanism::AutoSynchCD => "AutoSynch-CD",
-            Mechanism::AutoSynchShard => "AutoSynch-Shard",
             Mechanism::AutoSynchRoute => "AutoSynch-Route",
         }
     }
@@ -154,7 +145,6 @@ impl Mechanism {
             Mechanism::AutoSynch => Some(SignalMode::Tagged),
             Mechanism::AutoSynchT => Some(SignalMode::Untagged),
             Mechanism::AutoSynchCD => Some(SignalMode::ChangeDriven),
-            Mechanism::AutoSynchShard => Some(SignalMode::Sharded),
             Mechanism::AutoSynchRoute => Some(SignalMode::Routed),
             Mechanism::Explicit | Mechanism::Baseline => None,
         }
@@ -261,10 +251,8 @@ mod tests {
         // The regression this guards: sweeps iterating ALL must not
         // silently skip the extension mechanisms.
         assert!(Mechanism::ALL.contains(&Mechanism::AutoSynchCD));
-        assert!(Mechanism::ALL.contains(&Mechanism::AutoSynchShard));
         assert!(Mechanism::ALL.contains(&Mechanism::AutoSynchRoute));
         assert!(Mechanism::WITHOUT_BASELINE.contains(&Mechanism::AutoSynchCD));
-        assert!(Mechanism::WITHOUT_BASELINE.contains(&Mechanism::AutoSynchShard));
         assert!(Mechanism::WITHOUT_BASELINE.contains(&Mechanism::AutoSynchRoute));
         assert!(!Mechanism::WITHOUT_BASELINE.contains(&Mechanism::Baseline));
         assert_eq!(Mechanism::PAPER.len(), 4, "the paper's legend is fixed");
@@ -283,7 +271,6 @@ mod tests {
             SignalMode::Tagged,
             SignalMode::Untagged,
             SignalMode::ChangeDriven,
-            SignalMode::Sharded,
             SignalMode::Routed,
         ];
         for mode in all {
@@ -293,7 +280,6 @@ mod tests {
                 SignalMode::Tagged
                 | SignalMode::Untagged
                 | SignalMode::ChangeDriven
-                | SignalMode::Sharded
                 | SignalMode::Routed => {}
             }
         }
@@ -366,11 +352,11 @@ mod tests {
             SignalMode::Untagged
         );
         assert_eq!(
-            Mechanism::AutoSynchShard
+            Mechanism::AutoSynchCD
                 .monitor_config()
                 .unwrap()
                 .signal_mode(),
-            SignalMode::Sharded
+            SignalMode::ChangeDriven
         );
         assert!(Mechanism::Explicit.monitor_config().is_none());
         assert!(Mechanism::Baseline.monitor_config().is_none());

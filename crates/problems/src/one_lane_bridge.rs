@@ -293,7 +293,6 @@ pub fn make_bridge(mechanism: Mechanism, capacity: i64) -> Arc<dyn Bridge> {
         Mechanism::AutoSynchT
         | Mechanism::AutoSynch
         | Mechanism::AutoSynchCD
-        | Mechanism::AutoSynchShard
         | Mechanism::AutoSynchRoute => Arc::new(AutoSynchBridge::new(capacity, mechanism)),
     }
 }

@@ -251,7 +251,6 @@ pub fn make_buffer(mechanism: Mechanism, capacity: usize) -> Arc<dyn ParamBounde
         Mechanism::AutoSynchT
         | Mechanism::AutoSynch
         | Mechanism::AutoSynchCD
-        | Mechanism::AutoSynchShard
         | Mechanism::AutoSynchRoute => Arc::new(AutoSynchParamBuffer::new(capacity, mechanism)),
     }
 }
@@ -418,32 +417,71 @@ mod tests {
         small(Mechanism::Baseline);
     }
 
+    /// Polls `done` until it holds; panics after a generous deadline so
+    /// a lost wakeup fails the test instead of hanging it.
+    fn await_until(what: &str, done: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while !done() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "timed out waiting for {what}"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+
     #[test]
     fn explicit_wakes_more_futilely_than_autosynch() {
-        // The mechanism behind Figs. 14–15: broadcasts wake takers whose
-        // thresholds still fail.
-        let explicit = run(
-            Mechanism::Explicit,
-            ParamBoundedBufferConfig {
-                consumers: 8,
-                takes_per_consumer: 100,
-                ..ParamBoundedBufferConfig::default()
-            },
-        );
-        let auto = run(
-            Mechanism::AutoSynch,
-            ParamBoundedBufferConfig {
-                consumers: 8,
-                takes_per_consumer: 100,
-                ..ParamBoundedBufferConfig::default()
-            },
-        );
-        assert!(
-            explicit.stats.counters.wakeups > auto.stats.counters.wakeups,
-            "explicit wakeups {} should exceed AutoSynch wakeups {}",
-            explicit.stats.counters.wakeups,
-            auto.stats.counters.wakeups
-        );
+        // The mechanism behind Figs. 14–15, scripted: K takers block on
+        // the distinct thresholds 1..=K, then one item arrives. Only the
+        // threshold-1 taker can proceed. Explicit's `signalAll` wakes all
+        // K; AutoSynch's relay wakes the one whose condition holds.
+        const K: usize = 8;
+        for mechanism in [Mechanism::Explicit, Mechanism::AutoSynch] {
+            let buffer = make_buffer(mechanism, 256);
+            let takers: Vec<_> = (1..=K)
+                .map(|num| {
+                    let buffer = Arc::clone(&buffer);
+                    std::thread::spawn(move || buffer.take(num))
+                })
+                .collect();
+            // A wait is counted under the monitor lock right before the
+            // taker blocks, so the put below finds all K inside their
+            // condition wait. `>=`: a spurious condvar return re-waits
+            // and counts again.
+            await_until("every taker to block", || {
+                buffer.stats().counters.waits >= K as u64
+            });
+            buffer.put(&[0]);
+            let mut takers = takers.into_iter();
+            assert_eq!(takers.next().unwrap().join().unwrap(), vec![0]);
+            match mechanism {
+                // `signalAll` notified every taker; each counts its
+                // wakeup once it retakes the lock.
+                Mechanism::Explicit => await_until("signalAll to wake all K takers", || {
+                    buffer.stats().counters.wakeups >= K as u64
+                }),
+                _ => {
+                    // The relay counts each signal before the signaler
+                    // exits; wait until every signaled taker woke.
+                    let signals = buffer.stats().counters.signals;
+                    await_until("every signaled taker to wake", || {
+                        buffer.stats().counters.wakeups >= signals
+                    });
+                    let wakeups = buffer.stats().counters.wakeups;
+                    assert!(
+                        wakeups < K as u64,
+                        "AutoSynch woke {wakeups} takers for one item; explicit wakes {K}"
+                    );
+                }
+            }
+            // Release the rest: thresholds 2..=K need their sum.
+            let rest: Vec<u64> = (0..(2..=K).sum::<usize>() as u64).collect();
+            buffer.put(&rest);
+            for taker in takers {
+                taker.join().unwrap();
+            }
+        }
     }
 
     #[test]

@@ -321,7 +321,6 @@ pub fn make_rw(mechanism: Mechanism, threads: usize) -> Arc<dyn ReadersWriters> 
         Mechanism::AutoSynchT
         | Mechanism::AutoSynch
         | Mechanism::AutoSynchCD
-        | Mechanism::AutoSynchShard
         | Mechanism::AutoSynchRoute => Arc::new(AutoSynchRw::new(mechanism)),
     }
 }

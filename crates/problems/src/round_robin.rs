@@ -271,7 +271,6 @@ pub fn make_ring(mechanism: Mechanism, n: usize) -> Arc<dyn RoundRobin> {
         Mechanism::AutoSynchT
         | Mechanism::AutoSynch
         | Mechanism::AutoSynchCD
-        | Mechanism::AutoSynchShard
         | Mechanism::AutoSynchRoute => Arc::new(AutoSynchRoundRobin::new(n, mechanism)),
     }
 }

@@ -1,17 +1,15 @@
-//! Many independent work queues behind one monitor — the sharding
-//! showcase (an extension beyond the paper's seven problems).
+//! Many independent work queues behind one monitor — a many-queue
+//! `None`-tag workload (an extension beyond the paper's seven problems).
 //!
 //! `N` bounded queues share a single monitor; each queue has one
 //! producer and one consumer, and an operation on queue `i` touches no
 //! state of queue `j`. The waiting conditions are *disequalities*
 //! (`items_i != 0`, `space_i != 0`), which tag as `None` — the class
-//! with no index to prune the relay search. For the flat condition
-//! manager every hit-interrupted relay must re-probe the `None`
-//! candidates of **all** queues; the sharded manager confines that
-//! re-probe to the one shard whose expressions actually changed, which
-//! is exactly the scenario where `AutoSynch-Shard` should beat
-//! `AutoSynch-CD` on per-exit predicate evaluations at identical
-//! outcomes (`BENCH_shard.json` records the margin).
+//! with no index to prune the relay search. Every relay that is not
+//! skipped probes the `None` candidates of the queues it cannot rule
+//! out, so the workload measures what the change-driven filter (probe
+//! only candidates whose dependencies changed) and the routed mode's
+//! per-gate wakes save over a plain scan as `N` grows.
 //!
 //! The explicit-signal version knows each queue's two condition
 //! variables and is the latency yardstick; the baseline broadcasts its
@@ -157,8 +155,7 @@ impl ShardedQueues for BaselineShardedQueues {
 /// AutoSynch-family implementation: two shared expressions per queue
 /// (`items_i`, `space_i`) and disequality `waituntil` predicates, so
 /// every waiting condition carries a `None` tag with a singleton
-/// dependency set — the worst case for the flat manager and the best
-/// case for the dependency-sharded one.
+/// dependency set — the class no tag index can prune.
 #[derive(Debug)]
 pub struct AutoSynchShardedQueues {
     monitor: Monitor<QueuesState>,
@@ -233,14 +230,13 @@ pub fn make_queues(mechanism: Mechanism, queues: usize, capacity: usize) -> Arc<
         Mechanism::AutoSynchT
         | Mechanism::AutoSynch
         | Mechanism::AutoSynchCD
-        | Mechanism::AutoSynchShard
         | Mechanism::AutoSynchRoute => {
             Arc::new(AutoSynchShardedQueues::new(queues, capacity, mechanism))
         }
     }
 }
 
-/// Parameters of a sharded-queues saturation run.
+/// Parameters of a many-queue saturation run.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedQueuesConfig {
     /// Number of independent queues (one producer + one consumer each,

@@ -280,7 +280,6 @@ pub fn make_shop(mechanism: Mechanism) -> Arc<dyn BarberShop> {
         Mechanism::AutoSynchT
         | Mechanism::AutoSynch
         | Mechanism::AutoSynchCD
-        | Mechanism::AutoSynchShard
         | Mechanism::AutoSynchRoute => Arc::new(AutoSynchBarberShop::new(mechanism)),
     }
 }

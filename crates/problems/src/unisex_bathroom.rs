@@ -295,7 +295,6 @@ pub fn make_bathroom(mechanism: Mechanism, capacity: i64) -> Arc<dyn Bathroom> {
         Mechanism::AutoSynchT
         | Mechanism::AutoSynch
         | Mechanism::AutoSynchCD
-        | Mechanism::AutoSynchShard
         | Mechanism::AutoSynchRoute => Arc::new(AutoSynchBathroom::new(capacity, mechanism)),
     }
 }

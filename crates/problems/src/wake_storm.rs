@@ -238,7 +238,6 @@ pub fn make_storm(mechanism: Mechanism, channels: usize, waiters: usize) -> Arc<
         Mechanism::AutoSynchT
         | Mechanism::AutoSynch
         | Mechanism::AutoSynchCD
-        | Mechanism::AutoSynchShard
         | Mechanism::AutoSynchRoute => {
             Arc::new(AutoSynchWakeStorm::new(channels, waiters, mechanism))
         }

@@ -11,9 +11,9 @@
 //! * [`dsl`] — the textual `waituntil` compiler (the preprocessor
 //!   analog) and [`dsl::DslMonitor`].
 //! * [`problems`] — the paper's seven evaluation workloads plus seven
-//!   extensions (five classics, the sharded-queues sharding showcase,
-//!   and the wake-storm routing showcase), under every mechanism with
-//!   the saturation harness.
+//!   extensions (five classics, the many-queue `sharded_queues`
+//!   workload, and the wake-storm routing showcase), under every
+//!   mechanism with the saturation harness.
 //! * [`metrics`] — counters, phase timing (Table 1) and context-switch
 //!   sampling (Fig. 15).
 //!

@@ -197,7 +197,6 @@ fn deterministic_schedules_count_identically_across_wait_styles() {
         SignalMode::Tagged,
         SignalMode::Untagged,
         SignalMode::ChangeDriven,
-        SignalMode::Sharded,
     ] {
         let transient = run_transient(mode);
         let v2 = run_v2(mode);
@@ -210,7 +209,7 @@ fn deterministic_schedules_count_identically_across_wait_styles() {
             "{mode:?}: transient and compiled counters diverged\n transient: {transient:?}\n v2: {v2:?}"
         );
         match mode {
-            SignalMode::ChangeDriven | SignalMode::Sharded => {
+            SignalMode::ChangeDriven => {
                 assert!(
                     v2.named_mutations > 0,
                     "{mode:?}: tracked writes must register as named mutations"
@@ -236,7 +235,6 @@ fn assert_v2_counters(
     for mechanism in [
         Mechanism::AutoSynch,
         Mechanism::AutoSynchCD,
-        Mechanism::AutoSynchShard,
         Mechanism::AutoSynchRoute,
     ] {
         // Every runner asserts its own workload invariants (item
@@ -246,7 +244,7 @@ fn assert_v2_counters(
         let c = report.stats.counters;
         assert_eq!(c.broadcasts, 0, "{workload}/{mechanism}: no signalAll");
         match mechanism {
-            Mechanism::AutoSynchCD | Mechanism::AutoSynchShard | Mechanism::AutoSynchRoute => {
+            Mechanism::AutoSynchCD | Mechanism::AutoSynchRoute => {
                 assert!(
                     c.named_mutations > 0,
                     "{workload}/{mechanism}: v2 writes must name their mutations \

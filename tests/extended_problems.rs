@@ -16,7 +16,6 @@ fn all_reports(run: impl Fn(Mechanism) -> autosynch_repro::problems::RunReport) 
             Mechanism::AutoSynch
             | Mechanism::AutoSynchT
             | Mechanism::AutoSynchCD
-            | Mechanism::AutoSynchShard
             | Mechanism::AutoSynchRoute => {
                 assert_eq!(
                     report.stats.counters.broadcasts, 0,

@@ -92,7 +92,6 @@ fn outcomes_are_identical_with_and_without_the_fast_path() {
         SignalMode::Tagged,
         SignalMode::Untagged,
         SignalMode::ChangeDriven,
-        SignalMode::Sharded,
         SignalMode::Routed,
     ] {
         let fast = buffer_outcome(mode, true);

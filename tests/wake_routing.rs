@@ -10,14 +10,15 @@
 //! `routed_unparks` / `token_forwards` / `eq_routed_wakes` on the
 //! counters).
 //!
-//! Mirrors `tests/sharded.rs`, plus: global-gate fallback for
-//! cross-shard predicates, named-mutation diff narrowing, a
-//! park/unpark lost-wakeup stress that wraps the snapshot ring many
-//! times under concurrent writers, the fig11 acceptance assertion
-//! (unparks per relay ≈ 1), a transient-waiter stranding regression
-//! (the documented `wait_transient` broadcast-bucket fallback), and
-//! no-lost-token proptests over randomized park/sweep/claim/timeout
-//! interleavings.
+//! Covers: validated equivalence across gate counts, a route-vs-tagged
+//! sweep over every workload, global-gate fallback for cross-shard
+//! predicates, named-mutation diff narrowing, a park/unpark lost-wakeup
+//! stress that wraps the snapshot ring many times under concurrent
+//! writers, torn-read freedom of lock-free snapshot reads under load,
+//! the fig11 acceptance assertion (unparks per relay ≈ 1), a
+//! transient-waiter stranding regression (the documented
+//! `wait_transient` broadcast-bucket fallback), and no-lost-token
+//! proptests over randomized park/sweep/claim/timeout interleavings.
 
 use std::sync::Arc;
 
@@ -638,6 +639,96 @@ fn park_unpark_survives_ring_wraparound_under_concurrent_writers() {
         snap.counters.waiter_self_checks > 0,
         "the stress must exercise self-checks"
     );
+}
+
+// --- lock-free snapshot ring -------------------------------------------
+
+#[test]
+fn snapshot_ring_reads_are_consistent_under_load() {
+    // A producer/consumer pair hammers the monitor while samplers read
+    // the published expression snapshot lock-free. A published
+    // snapshot's `Some` values form a consistent cut (all evaluated
+    // under one lock hold), so `level + free == cap` whenever both are
+    // present — a torn or epoch-mixed read would break the sum. A
+    // "pin" waiter whose predicate carries a `{level, free}`
+    // conjunction keeps both expressions in the diff's dependency set
+    // for the whole run, so nearly every snapshot carries both.
+    struct Buf {
+        level: i64,
+        cap: i64,
+        stop: i64,
+    }
+    let monitor = Arc::new(Monitor::with_config(
+        Buf {
+            level: 0,
+            cap: 4,
+            stop: 0,
+        },
+        MonitorConfig::preset(SignalMode::Routed),
+    ));
+    let level = monitor.register_expr("level", |b: &Buf| b.level);
+    let free = monitor.register_expr("free", |b: &Buf| b.cap - b.level);
+    let stop_e = monitor.register_expr("stop", |b: &Buf| b.stop);
+    let stop = std::sync::atomic::AtomicBool::new(false);
+
+    std::thread::scope(|scope| {
+        {
+            // Pin waiter: conjunction 2 (`level >= 100 && free >= 100`)
+            // is never true but keeps {level, free} live dependencies;
+            // conjunction 1 releases it at shutdown.
+            let monitor = Arc::clone(&monitor);
+            scope.spawn(move || {
+                let pin = monitor.compile(stop_e.eq(1).or(level.ge(100).and(free.ge(100))));
+                monitor.enter(|g| {
+                    g.wait(&pin);
+                });
+            });
+        }
+        for _ in 0..2 {
+            let monitor = Arc::clone(&monitor);
+            let stop = &stop;
+            scope.spawn(move || {
+                let mut observed = 0u64;
+                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    if let Some((_, values)) = monitor.latest_expr_snapshot() {
+                        if let (Some(l), Some(f)) =
+                            (values[level.id().index()], values[free.id().index()])
+                        {
+                            assert_eq!(l + f, 4, "torn snapshot: level {l} + free {f} != cap");
+                            observed += 1;
+                        }
+                    }
+                    std::hint::spin_loop();
+                }
+                assert!(observed > 0, "sampler never saw a published snapshot");
+            });
+        }
+        let producer = Arc::clone(&monitor);
+        let consumer = Arc::clone(&monitor);
+        let p = scope.spawn(move || {
+            let room = producer.compile(free.ge(1));
+            for _ in 0..3_000 {
+                producer.enter(|g| {
+                    g.wait(&room);
+                    g.state_mut().level += 1;
+                });
+            }
+        });
+        let c = scope.spawn(move || {
+            let stocked = consumer.compile(level.ge(1));
+            for _ in 0..3_000 {
+                consumer.enter(|g| {
+                    g.wait(&stocked);
+                    g.state_mut().level -= 1;
+                });
+            }
+        });
+        p.join().unwrap();
+        c.join().unwrap();
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        monitor.with(|b| b.stop = 1); // release the pin waiter
+    });
+    assert!(monitor.is_quiescent());
 }
 
 // --- transient fallback: never stranded --------------------------------
