@@ -141,14 +141,6 @@ const EXPERIMENTS: &[Experiment] = &[
                       with finite wait percentiles; async == threaded outcomes at equal ops",
         run: figures::async_waiters,
     },
-    Experiment {
-        id: "watch",
-        title: "Extension — watchtower: wait-span attribution + live pathology detectors",
-        expectation: "stitched phase attributions reconcile with the monitors' own wait \
-                      totals; each engineered pathology cell arms its detector while its \
-                      control twin stays silent; watching costs the elided lane nothing",
-        run: figures::watch,
-    },
 ];
 
 fn main() {

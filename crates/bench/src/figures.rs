@@ -1386,622 +1386,6 @@ pub fn async_waiters() -> Table {
     table
 }
 
-/// Extension: the watchtower — causal wait-span attribution stitched
-/// from the flight recorder, plus the live pathology detectors driven
-/// off-lock through `Monitor::observe_health`.
-///
-/// Four artifacts per run, all landing in `BENCH_watch.json`:
-///
-/// * **Attribution ladders** (the `spans` entries) — three wait-heavy
-///   shapes × every automatic mode, each run traced, drained, stitched
-///   ([`autosynch::telemetry::span::stitch`]) and reconciled: every
-///   span's phase durations sum exactly to its bracket by
-///   construction, and the stitched `measured_ns` total is compared
-///   against the monitor's own `stats.wait.nanos` (`recon_err_pct` —
-///   exact when no ring slot was overwritten).
-/// * **`TRACE_watch.json`** — the routed wake storm's raw events plus
-///   one `"ph": "X"` duration bar per stitched span, loadable in
-///   Perfetto.
-/// * **Detector cells** (the `detectors` entries) — four engineered
-///   positive/control pairs sampled live at 2ms: a routed mini-storm
-///   on opaque closures herds on the global gate's broadcast while its
-///   compiled-`eq` twin stays quiet; a mutex-only mutation
-///   loop relay-storms while its elided twin records no relay calls at
-///   all; spiked occupancies convoy while uniform ones don't; a
-///   laggard release strands the wait tail while a bulk release
-///   doesn't. Each cell records which pathologies armed.
-/// * **The no-harm row** — the api uncontended fast-path loop with the
-///   recorder off and a live 2ms health sampler running throughout:
-///   continuous watching must not tax the elided lane (CI pins it
-///   against the `BENCH_api` fast-path row).
-pub fn watch() -> Table {
-    use autosynch::config::{MonitorConfig, SignalMode};
-    use autosynch::telemetry::watch::{Edge, HealthReport, Pathology};
-    use autosynch::telemetry::{self, span};
-    use autosynch::tracked::{Tracked, TrackedCell, TrackedState};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::time::{Duration, Instant};
-
-    let mut table = Table::with_columns(&[
-        "workload",
-        "mechanism",
-        "spans",
-        "truncated",
-        "open",
-        "orphans",
-        "dropped",
-        "top_phase",
-        "recon_err%",
-    ]);
-
-    // --- Part A: stitch + reconcile, three shapes x automatic modes ------
-    let mut span_entries = String::new();
-    let mut record_stitch = |workload: &str,
-                             mechanism: &str,
-                             report: &RunReport,
-                             stitched: &span::StitchReport,
-                             dropped: u64| {
-        let totals = stitched.phase_totals();
-        let top = totals
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, ns)| *ns)
-            .filter(|&(_, ns)| *ns > 0)
-            .map_or("-", |(i, _)| span::WaitPhase::ALL[i].name());
-        let measured = stitched.measured_total_ns();
-        let stats_ns = report.stats.wait.nanos;
-        let recon_err_pct =
-            (measured as f64 - stats_ns as f64).abs() / (stats_ns.max(1) as f64) * 100.0;
-        let complete = stitched.spans.len() - stitched.truncated();
-        table.row(vec![
-            workload.to_owned(),
-            mechanism.to_owned(),
-            complete.to_string(),
-            stitched.truncated().to_string(),
-            stitched.open_waits.to_string(),
-            stitched.orphan_events.to_string(),
-            dropped.to_string(),
-            top.to_owned(),
-            format!("{recon_err_pct:.3}"),
-        ]);
-        let mut phases = String::new();
-        for (phase, ns) in span::WaitPhase::ALL.iter().zip(totals) {
-            if !phases.is_empty() {
-                phases.push_str(", ");
-            }
-            phases.push_str(&format!("\"{}_ns\": {ns}", phase.name()));
-        }
-        let mut ladders = String::new();
-        for l in span::ladders(stitched) {
-            if l.spans == 0 {
-                continue;
-            }
-            if !ladders.is_empty() {
-                ladders.push_str(", ");
-            }
-            ladders.push_str(&format!(
-                "{{\"phase\": \"{}\", \"total_ns\": {}, \"spans\": {}, \
-                 \"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}}}",
-                l.phase.name(),
-                l.total_ns,
-                l.spans,
-                l.p50_ns,
-                l.p90_ns,
-                l.p99_ns,
-            ));
-        }
-        if !span_entries.is_empty() {
-            span_entries.push_str(",\n");
-        }
-        span_entries.push_str(&format!(
-            "    {{\"workload\": \"{workload}\", \"mechanism\": \"{mechanism}\", \
-             \"spans\": {complete}, \"truncated\": {}, \"open_waits\": {}, \
-             \"orphan_events\": {}, \"dropped\": {dropped}, \
-             \"stats_wait_ns\": {stats_ns}, \"stats_waits\": {}, \
-             \"stitched_wait_ns\": {measured}, \"span_total_ns\": {}, \
-             \"recon_err_pct\": {recon_err_pct:.4}, \"elapsed_s\": {:.6}, \
-             \"phase_totals\": {{{phases}}}, \"ladders\": [{ladders}]}}",
-            stitched.truncated(),
-            stitched.open_waits,
-            stitched.orphan_events,
-            report.stats.wait.holds,
-            stitched.total_span_ns(),
-            report.elapsed.as_secs_f64(),
-        ));
-    };
-
-    let was_on = telemetry::enabled();
-    telemetry::set_enabled(true);
-    // Every event of a Part-A run must survive to the drain: waits per
-    // thread stay in the low hundreds here, so 32k slots per ring is
-    // ample headroom (`dropped` lands in the JSON either way).
-    telemetry::set_ring_capacity(1 << 15);
-
-    let rr_config = RoundRobinConfig {
-        threads: 8,
-        rounds: 192,
-    };
-    let pbb_config = ParamBoundedBufferConfig {
-        consumers: 8,
-        takes_per_consumer: 128,
-        max_items: 128,
-        capacity: 256,
-        seed: 0x5EED,
-    };
-    let storm_config = WakeStormConfig {
-        channels: 4,
-        waiters: 4,
-        rounds: 48,
-    };
-    let mut storm_trace: Option<(Vec<autosynch::TraceEvent>, span::StitchReport)> = None;
-    for mechanism in Mechanism::AUTOMATIC {
-        drop(telemetry::drain_all());
-        let report = round_robin::run_timed(mechanism, rr_config);
-        let drained = telemetry::drain_all();
-        let stitched = span::stitch(&drained.events);
-        record_stitch(
-            "fig11_round_robin",
-            mechanism.label(),
-            &report,
-            &stitched,
-            drained.dropped,
-        );
-    }
-    for mechanism in Mechanism::AUTOMATIC {
-        drop(telemetry::drain_all());
-        let report = param_bounded_buffer::run_timed(mechanism, pbb_config);
-        let drained = telemetry::drain_all();
-        let stitched = span::stitch(&drained.events);
-        record_stitch(
-            "fig14_param_bounded_buffer",
-            mechanism.label(),
-            &report,
-            &stitched,
-            drained.dropped,
-        );
-    }
-    for mechanism in Mechanism::AUTOMATIC {
-        drop(telemetry::drain_all());
-        let report = wake_storm::run_timed(mechanism, storm_config);
-        let drained = telemetry::drain_all();
-        let stitched = span::stitch(&drained.events);
-        record_stitch(
-            "ext_wake_storm",
-            mechanism.label(),
-            &report,
-            &stitched,
-            drained.dropped,
-        );
-        if mechanism == Mechanism::AutoSynchRoute {
-            storm_trace = Some((drained.events, stitched));
-        }
-    }
-    telemetry::set_enabled(was_on);
-
-    // --- Part B: the stitched timeline ------------------------------------
-    if let Some((events, stitched)) = &storm_trace {
-        let trace_path = "TRACE_watch.json";
-        match crate::trace::write_chrome_trace_with_spans(trace_path, events, stitched) {
-            Ok(()) => println!(
-                "   [stitched trace written to {trace_path}: {} events, {} spans]",
-                events.len(),
-                stitched.spans.len()
-            ),
-            Err(err) => eprintln!("   [failed to write {trace_path}: {err}]"),
-        }
-    }
-
-    // --- Part C: the detector cells ---------------------------------------
-    // Each cell runs an engineered shape with a live sampler thread
-    // calling `observe_health` every 2ms (plus a few tail samples after
-    // the workload drains, so cumulative-histogram detectors see enough
-    // consecutive windows). The cell records which pathologies armed;
-    // CI asserts each positive fires and its control stays silent.
-    fn sample_health<S>(
-        m: &Monitor<S>,
-        stop: &AtomicBool,
-        cadence: Duration,
-        tail: usize,
-    ) -> Vec<HealthReport> {
-        let mut reports = Vec::new();
-        while !stop.load(Ordering::Relaxed) {
-            reports.extend(m.observe_health());
-            std::thread::sleep(cadence);
-        }
-        for _ in 0..tail {
-            std::thread::sleep(cadence);
-            reports.extend(m.observe_health());
-        }
-        reports
-    }
-    let cadence = Duration::from_millis(2);
-
-    let mut detector_entries = String::new();
-    let mut cell_rows: Vec<Vec<String>> = Vec::new();
-    let mut record_cell = |cell: &str,
-                           mechanism: &str,
-                           expected: Pathology,
-                           expect_fired: bool,
-                           reports: &[HealthReport]| {
-        let mut armed: Vec<&str> = reports
-            .iter()
-            .filter(|r| r.edge == Edge::Armed)
-            .map(|r| r.pathology.name())
-            .collect();
-        armed.sort_unstable();
-        armed.dedup();
-        let fired = armed.contains(&expected.name());
-        cell_rows.push(vec![
-            format!("cell:{cell}"),
-            mechanism.to_owned(),
-            "-".to_owned(),
-            "-".to_owned(),
-            "-".to_owned(),
-            "-".to_owned(),
-            "-".to_owned(),
-            if armed.is_empty() {
-                "none".to_owned()
-            } else {
-                armed.join("+")
-            },
-            if fired { "ARMED" } else { "silent" }.to_owned(),
-        ]);
-        let armed_json: Vec<String> = armed.iter().map(|p| format!("\"{p}\"")).collect();
-        if !detector_entries.is_empty() {
-            detector_entries.push_str(",\n");
-        }
-        detector_entries.push_str(&format!(
-            "    {{\"cell\": \"{cell}\", \"mechanism\": \"{mechanism}\", \
-             \"expected\": \"{}\", \"expect_fired\": {expect_fired}, \
-             \"fired\": {fired}, \"armed\": [{}], \"edges\": {}}}",
-            expected.name(),
-            armed_json.join(", "),
-            reports.len(),
-        ));
-    };
-
-    // Wake herd: one hot channel, eight equivalence waiters under
-    // Route. Opaque closures land on the global gate, whose broadcast
-    // wakes every waiter per advance (herd factor ~8); compiled
-    // `turn == id` conditions are eq-routed and unpark exactly the
-    // next waiter (herd ~1).
-    struct Turn {
-        turn: Tracked<i64>,
-    }
-    impl TrackedState for Turn {
-        fn for_each_cell(&mut self, f: &mut dyn FnMut(&mut dyn TrackedCell)) {
-            f(&mut self.turn);
-        }
-    }
-    let herd_cell = |opaque: bool| -> Vec<HealthReport> {
-        let waiters: i64 = 8;
-        let rounds = if sweep::full_scale() { 400 } else { 250 };
-        let m = Monitor::with_config(
-            Turn {
-                turn: Tracked::new(0),
-            },
-            Mechanism::AutoSynchRoute
-                .monitor_config()
-                .expect("automatic")
-                .timing(true),
-        );
-        let turn = m.register_expr("turn", |s: &Turn| *s.turn.get());
-        m.bind(|s| &mut s.turn, &[turn]);
-        let conds: Vec<_> = (0..waiters)
-            .map(|id| {
-                if opaque {
-                    m.compile(move |s: &Turn| *s.turn.get() == id)
-                } else {
-                    m.compile(turn.eq(id))
-                }
-            })
-            .collect();
-        let stop = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            let sampler = scope.spawn(|| sample_health(&m, &stop, cadence, 6));
-            let workers: Vec<_> = (0..waiters)
-                .map(|id| {
-                    let m = &m;
-                    let conds = &conds;
-                    scope.spawn(move || {
-                        for _ in 0..rounds {
-                            m.enter_tracked(|g| {
-                                g.wait(&conds[id as usize]);
-                                let s = g.state_mut();
-                                *s.turn = (*s.turn + 1).rem_euclid(waiters);
-                            });
-                        }
-                    })
-                })
-                .collect();
-            for w in workers {
-                w.join().unwrap();
-            }
-            stop.store(true, Ordering::Relaxed);
-            sampler.join().unwrap()
-        })
-    };
-    let reports = herd_cell(true);
-    record_cell(
-        "herd_routed_opaque_storm",
-        Mechanism::AutoSynchRoute.label(),
-        Pathology::WakeHerd,
-        true,
-        &reports,
-    );
-    let reports = herd_cell(false);
-    record_cell(
-        "herd_routed_control",
-        Mechanism::AutoSynchRoute.label(),
-        Pathology::WakeHerd,
-        false,
-        &reports,
-    );
-
-    // Relay storm: an uncontended mutation loop. On the mutex-only
-    // lane every dirty exit runs a relay that finds nobody (yield 0 at
-    // a six-figure relay rate); the elided lane never calls the relay
-    // at all, so the control records no relay calls.
-    struct One {
-        v: Tracked<i64>,
-    }
-    impl TrackedState for One {
-        fn for_each_cell(&mut self, f: &mut dyn FnMut(&mut dyn TrackedCell)) {
-            f(&mut self.v);
-        }
-    }
-    let storm_cell = |fast: bool| -> Vec<HealthReport> {
-        let m = Monitor::with_config(
-            One { v: Tracked::new(0) },
-            MonitorConfig::preset(SignalMode::Routed)
-                .fast_path(fast)
-                .timing(true),
-        );
-        let v = m.register_expr("v", |s: &One| *s.v.get());
-        m.bind(|s| &mut s.v, &[v]);
-        let stop = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            let sampler = scope.spawn(|| sample_health(&m, &stop, cadence, 6));
-            let deadline = Instant::now() + Duration::from_millis(60);
-            while Instant::now() < deadline {
-                for _ in 0..64 {
-                    m.with_tracked(|s| *s.v += 1);
-                }
-            }
-            stop.store(true, Ordering::Relaxed);
-            sampler.join().unwrap()
-        })
-    };
-    let reports = storm_cell(false);
-    record_cell(
-        "storm_mutex_loop",
-        "mutex_only",
-        Pathology::RelayStorm,
-        true,
-        &reports,
-    );
-    let reports = storm_cell(true);
-    record_cell(
-        "storm_elided_control",
-        "fast_path",
-        Pathology::RelayStorm,
-        false,
-        &reports,
-    );
-
-    // Convoy: two threads hammering mutex-only occupancies. The
-    // spiked variant holds the monitor ~1ms every 64th op (>1% of
-    // occupancies, so the cumulative p99 lands on the spikes while the
-    // median stays a plain uncontended-ish mutex hold), detaching the
-    // occupancy p99 from the median with flat combining disabled; the
-    // uniform twin keeps the tail attached.
-    let convoy_cell = |spiked: bool| -> Vec<HealthReport> {
-        let m = Monitor::with_config(
-            One { v: Tracked::new(0) },
-            MonitorConfig::preset(SignalMode::Routed)
-                .fast_path(false)
-                .timing(true),
-        );
-        let v = m.register_expr("v", |s: &One| *s.v.get());
-        m.bind(|s| &mut s.v, &[v]);
-        let stop = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            let sampler = scope.spawn(|| sample_health(&m, &stop, cadence, 6));
-            let deadline = Instant::now() + Duration::from_millis(60);
-            let workers: Vec<_> = (0..2u64)
-                .map(|t| {
-                    let m = &m;
-                    scope.spawn(move || {
-                        let mut i = 0u64;
-                        while Instant::now() < deadline {
-                            i += 1;
-                            let spike = spiked && i % 64 == t * 32;
-                            m.with_tracked(|s| {
-                                *s.v += 1;
-                                if spike {
-                                    let hold = Instant::now() + Duration::from_micros(1000);
-                                    while Instant::now() < hold {
-                                        std::hint::spin_loop();
-                                    }
-                                }
-                            });
-                        }
-                    })
-                })
-                .collect();
-            for w in workers {
-                w.join().unwrap();
-            }
-            stop.store(true, Ordering::Relaxed);
-            sampler.join().unwrap()
-        })
-    };
-    let reports = convoy_cell(true);
-    record_cell(
-        "convoy_spiked_holds",
-        "mutex_only",
-        Pathology::ConvoyStarvation,
-        true,
-        &reports,
-    );
-    let reports = convoy_cell(false);
-    record_cell(
-        "convoy_uniform_control",
-        "mutex_only",
-        Pathology::ConvoyStarvation,
-        false,
-        &reports,
-    );
-
-    // Stranded tail: twenty threshold waiters released only once all
-    // are parked. The laggard variant frees nineteen at once and holds
-    // the last back ~120ms, detaching the wait p999 from the median;
-    // the bulk twin frees all twenty together.
-    struct Gate {
-        released: Tracked<i64>,
-    }
-    impl TrackedState for Gate {
-        fn for_each_cell(&mut self, f: &mut dyn FnMut(&mut dyn TrackedCell)) {
-            f(&mut self.released);
-        }
-    }
-    let stranded_cell = |laggard: bool| -> Vec<HealthReport> {
-        let waiters: i64 = 20;
-        let m = Monitor::with_config(
-            Gate {
-                released: Tracked::new(0),
-            },
-            Mechanism::AutoSynchRoute
-                .monitor_config()
-                .expect("automatic")
-                .timing(true),
-        );
-        let released = m.register_expr("released", |s: &Gate| *s.released.get());
-        m.bind(|s| &mut s.released, &[released]);
-        let conds: Vec<_> = (1..=waiters).map(|k| m.compile(released.ge(k))).collect();
-        let stop = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            let sampler = scope.spawn(|| sample_health(&m, &stop, cadence, 10));
-            let workers: Vec<_> = (0..waiters)
-                .map(|k| {
-                    let m = &m;
-                    let conds = &conds;
-                    scope.spawn(move || {
-                        m.enter_tracked(|g| {
-                            g.wait(&conds[k as usize]);
-                        });
-                    })
-                })
-                .collect();
-            // Release only once every waiter is parked, so the quick
-            // waits measure wake latency rather than spawn skew.
-            while m.parked_waiters() < waiters as usize {
-                std::thread::yield_now();
-            }
-            if laggard {
-                m.with_tracked(|s| *s.released = waiters - 1);
-                std::thread::sleep(Duration::from_millis(120));
-                m.with_tracked(|s| *s.released = waiters);
-            } else {
-                m.with_tracked(|s| *s.released = waiters);
-            }
-            for w in workers {
-                w.join().unwrap();
-            }
-            stop.store(true, Ordering::Relaxed);
-            sampler.join().unwrap()
-        })
-    };
-    let reports = stranded_cell(true);
-    record_cell(
-        "stranded_laggard_release",
-        Mechanism::AutoSynchRoute.label(),
-        Pathology::StrandedTail,
-        true,
-        &reports,
-    );
-    let reports = stranded_cell(false);
-    record_cell(
-        "stranded_bulk_control",
-        Mechanism::AutoSynchRoute.label(),
-        Pathology::StrandedTail,
-        false,
-        &reports,
-    );
-
-    for row in cell_rows {
-        table.row(row);
-    }
-
-    // --- Part D: no-harm under a live sampler ----------------------------
-    let lat_iters: u32 = if sweep::full_scale() { 400_000 } else { 80_000 };
-    let was_on = telemetry::enabled();
-    telemetry::set_enabled(false);
-    let m = Monitor::with_config(
-        One { v: Tracked::new(0) },
-        MonitorConfig::default().fast_path(true).timing(true),
-    );
-    let v = m.register_expr("v", |s: &One| *s.v.get());
-    m.bind(|s| &mut s.v, &[v]);
-    let stop = AtomicBool::new(false);
-    let elapsed = std::thread::scope(|scope| {
-        let sampler = scope.spawn(|| sample_health(&m, &stop, cadence, 0));
-        let start = Instant::now();
-        for _ in 0..lat_iters {
-            m.with_tracked(|s| *s.v += 1);
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        stop.store(true, Ordering::Relaxed);
-        sampler.join().unwrap();
-        elapsed
-    });
-    telemetry::set_enabled(was_on);
-    let snap = m.stats_snapshot();
-    assert_eq!(m.with_tracked(|s| *s.v), i64::from(lat_iters));
-    assert!(
-        snap.counters.fast_path_enters > 0,
-        "the no-harm loop must take the elided lane"
-    );
-    let diag = m.diagnostics();
-    table.row(vec![
-        "uncontended_enter_exit".to_owned(),
-        "watched_telemetry_off".to_owned(),
-        "-".to_owned(),
-        "-".to_owned(),
-        "-".to_owned(),
-        "-".to_owned(),
-        "-".to_owned(),
-        if diag.active.is_empty() {
-            "healthy".to_owned()
-        } else {
-            "armed".to_owned()
-        },
-        format!("{:.1}ns", snap.enter_exit.mean_nanos()),
-    ]);
-    let no_harm = format!(
-        "{{\"workload\": \"uncontended_enter_exit\", \
-         \"mechanism\": \"watched_telemetry_off\", \
-         \"enter_exit_mean_ns\": {:.2}, \"fast_path_enters\": {}, \
-         \"health_samples\": {}, \"active_pathologies\": {}, \
-         \"elapsed_s\": {elapsed:.6}}}",
-        snap.enter_exit.mean_nanos(),
-        snap.counters.fast_path_enters,
-        m.health_history().len(),
-        diag.active.len(),
-    );
-
-    let json = format!(
-        "{{\n  \"spans\": [\n{span_entries}\n  ],\n  \"detectors\": [\n\
-         {detector_entries}\n  ],\n  \"no_harm\": {no_harm}\n}}\n"
-    );
-    let path = "BENCH_watch.json";
-    match std::fs::write(path, json) {
-        Ok(()) => println!("   [watchtower series written to {path}]"),
-        Err(err) => eprintln!("   [failed to write {path}: {err}]"),
-    }
-    table
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,11 +9,6 @@
 //!
 //! * each raw event becomes an **instant** event (`"ph": "i"`, thread
 //!   scope) named after its [`EventKind`](autosynch::EventKind);
-//! * each stitched [`WaitSpan`] becomes a **complete duration** event
-//!   (`"ph": "X"`) spanning registration→resolve on the waiter's
-//!   track, its per-phase attribution riding along in `args` — so a
-//!   timeline shows each wait as a bar whose tooltip explains where
-//!   the time went;
 //! * the monitor token becomes the `pid`, so multi-monitor traces
 //!   group by monitor;
 //! * the recorder's stable thread id becomes the `tid`;
@@ -21,7 +16,6 @@
 //!   trace format's unit), preserving full resolution;
 //! * the kind-specific operands ride along as `args.a` / `args.b`.
 
-use autosynch::telemetry::span::{StitchReport, WaitPhase, WaitSpan};
 use autosynch::TraceEvent;
 
 /// Integer nanoseconds as the trace format's fractional microseconds.
@@ -31,8 +25,8 @@ fn us(t_ns: u64) -> String {
     format!("{}.{:03}", t_ns / 1_000, t_ns % 1_000)
 }
 
-fn push_instant(out: &mut Vec<String>, e: &TraceEvent) {
-    out.push(format!(
+fn instant(e: &TraceEvent) -> String {
+    format!(
         "    {{\"name\": \"{}\", \"ph\": \"i\", \"s\": \"t\", \
          \"ts\": {}, \"pid\": {}, \"tid\": {}, \
          \"args\": {{\"a\": {}, \"b\": {}}}}}",
@@ -42,61 +36,16 @@ fn push_instant(out: &mut Vec<String>, e: &TraceEvent) {
         e.thread,
         e.a,
         e.b,
-    ));
-}
-
-fn push_span(out: &mut Vec<String>, s: &WaitSpan) {
-    let mut args = format!(
-        "\"wait_id\": {}, \"satisfied\": {}, \"measured_ns\": {}",
-        s.wait_id, s.satisfied, s.measured_ns
-    );
-    for phase in WaitPhase::ALL {
-        let ns = s.phase_ns(phase);
-        if ns > 0 {
-            args.push_str(&format!(", \"{}_ns\": {ns}", phase.name()));
-        }
-    }
-    out.push(format!(
-        "    {{\"name\": \"{}\", \"ph\": \"X\", \"ts\": {}, \"dur\": {}, \
-         \"pid\": {}, \"tid\": {}, \"args\": {{{args}}}}}",
-        if s.task { "wait(task)" } else { "wait" },
-        us(s.start_ns),
-        us(s.span_ns()),
-        s.monitor,
-        s.thread,
-    ));
-}
-
-fn document(lines: Vec<String>) -> String {
-    format!(
-        "{{\n  \"displayTimeUnit\": \"ns\",\n  \"traceEvents\": [\n{}\n  ]\n}}\n",
-        lines.join(",\n")
     )
 }
 
 /// Renders `events` as a Chrome trace-event JSON document.
 pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
-    let mut lines = Vec::with_capacity(events.len());
-    for e in events {
-        push_instant(&mut lines, e);
-    }
-    document(lines)
-}
-
-/// Renders `events` plus the stitched wait spans of `report` as one
-/// Chrome trace-event JSON document: the raw instants interleaved with
-/// one `"ph": "X"` duration bar per complete wait span (truncated
-/// stubs have no extent and are skipped). Load in Perfetto and the
-/// waits appear as bars over the event ticks that compose them.
-pub fn chrome_trace_json_with_spans(events: &[TraceEvent], report: &StitchReport) -> String {
-    let mut lines = Vec::with_capacity(events.len() + report.spans.len());
-    for e in events {
-        push_instant(&mut lines, e);
-    }
-    for span in report.complete() {
-        push_span(&mut lines, span);
-    }
-    document(lines)
+    let lines: Vec<String> = events.iter().map(instant).collect();
+    format!(
+        "{{\n  \"displayTimeUnit\": \"ns\",\n  \"traceEvents\": [\n{}\n  ]\n}}\n",
+        lines.join(",\n")
+    )
 }
 
 /// Writes `events` to `path` as a Chrome trace-event JSON file.
@@ -108,24 +57,9 @@ pub fn write_chrome_trace(path: &str, events: &[TraceEvent]) -> std::io::Result<
     std::fs::write(path, chrome_trace_json(events))
 }
 
-/// Writes `events` plus the stitched spans of `report` to `path` as a
-/// Chrome trace-event JSON file.
-///
-/// # Errors
-///
-/// Propagates the underlying filesystem error.
-pub fn write_chrome_trace_with_spans(
-    path: &str,
-    events: &[TraceEvent],
-    report: &StitchReport,
-) -> std::io::Result<()> {
-    std::fs::write(path, chrome_trace_json_with_spans(events, report))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autosynch::telemetry::span::stitch;
     use autosynch::EventKind;
 
     fn event(t_ns: u64, kind: EventKind) -> TraceEvent {
@@ -180,53 +114,5 @@ mod tests {
     fn sub_microsecond_timestamps_keep_leading_zeros() {
         let json = chrome_trace_json(&[event(42, EventKind::Park)]);
         assert!(json.contains("\"ts\": 0.042"), "42ns is 0.042us: {json}");
-    }
-
-    #[test]
-    fn stitched_spans_become_duration_bars_with_phase_args() {
-        let mk = |t_ns, thread, kind, a, b| TraceEvent {
-            t_ns,
-            monitor: 3,
-            thread,
-            kind,
-            a,
-            b,
-        };
-        let events = vec![
-            mk(100, 9, EventKind::WaitRegistered, u64::MAX, 7 << 1),
-            mk(150, 9, EventKind::Park, 0, 7),
-            mk(500, 4, EventKind::Unpark, 1, 7),
-            mk(600, 9, EventKind::SelfCheck, 1, 1),
-            mk(700, 9, EventKind::WaitResolved, 7, (555 << 1) | 1),
-        ];
-        let report = stitch(&events);
-        let json = chrome_trace_json_with_spans(&events, &report);
-        // The five instants plus one duration bar.
-        assert_eq!(json.matches("\"ph\": \"i\"").count(), 5);
-        assert_eq!(json.matches("\"ph\": \"X\"").count(), 1);
-        assert!(json.contains("\"name\": \"wait\""));
-        assert!(json.contains("\"ts\": 0.100, \"dur\": 0.600"));
-        assert!(json.contains("\"wait_id\": 7"));
-        assert!(json.contains("\"measured_ns\": 555"));
-        assert!(json.contains("\"parked_blocked_ns\": 350"));
-        assert!(json.contains("\"relay_to_wake_ns\": 100"));
-        // Zero phases are omitted from args.
-        assert!(!json.contains("task_pending_ns"));
-    }
-
-    #[test]
-    fn truncated_stubs_draw_no_bars() {
-        let events = vec![TraceEvent {
-            t_ns: 10,
-            monitor: 3,
-            thread: 9,
-            kind: EventKind::WaitResolved,
-            a: 4,
-            b: 1,
-        }];
-        let report = stitch(&events);
-        assert_eq!(report.truncated(), 1);
-        let json = chrome_trace_json_with_spans(&events, &report);
-        assert_eq!(json.matches("\"ph\": \"X\"").count(), 0);
     }
 }

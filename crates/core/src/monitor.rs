@@ -307,11 +307,6 @@ pub struct Monitor<S> {
     /// mutex: routed waiters park per-`Cond` bucket, service token
     /// sweeps and claim without touching the monitor lock.
     wake: Arc<WakeLot>,
-    /// The watchtower: continuous health signals and pathology
-    /// detection over the counters and latency histograms, sampled by
-    /// [`Monitor::observe_health`] without ever taking the monitor
-    /// lock.
-    watcher: telemetry::watch::Watcher,
 }
 
 impl<S> std::fmt::Debug for Monitor<S> {
@@ -357,10 +352,6 @@ impl<S> Monitor<S> {
             token,
             ring,
             wake,
-            watcher: telemetry::watch::Watcher::new(
-                token,
-                telemetry::watch::WatchConfig::default(),
-            ),
         }
     }
 
@@ -910,59 +901,6 @@ impl<S> Monitor<S> {
     fn deliver_routed_wakes(&self, wakes: &[RoutedWake], epoch: u64) {
         for &wake in wakes {
             self.wake.deliver(wake, epoch, &self.stats.counters);
-        }
-    }
-
-    /// Takes one watchtower health sample: snapshots the counters and
-    /// latency histograms, folds the windowed deltas into the
-    /// monitor's EWMA health signals, and runs the pathology
-    /// detectors. Returns the detector edges this sample crossed
-    /// (pathologies arming or clearing); most samples return nothing.
-    ///
-    /// Never takes the monitor lock — only relaxed counter loads,
-    /// histogram scans, and the park/wake gate locks
-    /// ([`Monitor::parked_waiters`]) — so a sampler thread can drive
-    /// this at kHz cadence against a saturated monitor. Not
-    /// [`Monitor::counts`], which queues on the monitor mutex.
-    pub fn observe_health(&self) -> Vec<telemetry::watch::HealthReport> {
-        self.watcher.observe(self.raw_health_sample())
-    }
-
-    /// [`Monitor::observe_health`] with an explicit window length —
-    /// the deterministic entry synthetic drivers and tests use.
-    pub fn observe_health_window(
-        &self,
-        window: std::time::Duration,
-    ) -> Vec<telemetry::watch::HealthReport> {
-        self.watcher
-            .observe_window(window, self.raw_health_sample())
-    }
-
-    fn raw_health_sample(&self) -> telemetry::watch::RawSample {
-        telemetry::watch::RawSample {
-            counters: self.stats.counters.snapshot(),
-            wait: self.stats.wait.snapshot(),
-            enter_exit: self.stats.enter_exit.snapshot(),
-            parked: self.parked_waiters(),
-        }
-    }
-
-    /// The retained watchtower sample history, oldest first.
-    pub fn health_history(&self) -> Vec<telemetry::watch::HealthSample> {
-        self.watcher.history()
-    }
-
-    /// The watchtower diagnostics bundle: latest health sample, armed
-    /// pathologies, and retained detector edges. Render machine-side
-    /// with [`telemetry::watch::Diagnostics::to_json`] or human-side
-    /// via `Display`. Lock-free with respect to the monitor mutex,
-    /// same as [`Monitor::observe_health`].
-    pub fn diagnostics(&self) -> telemetry::watch::Diagnostics {
-        telemetry::watch::Diagnostics {
-            monitor: self.token,
-            latest: self.watcher.history().last().copied(),
-            active: self.watcher.active(),
-            reports: self.watcher.reports(),
         }
     }
 

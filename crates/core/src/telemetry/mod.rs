@@ -35,8 +35,7 @@
 //! monitor's view); the bench crate renders drained events as Chrome
 //! trace-event JSON loadable in Perfetto. The [`span`] module stitches
 //! drained streams back into causal per-wait spans with typed phase
-//! attribution; the [`watch`] module is the continuous health watcher
-//! and pathology detector built over the counters and histograms.
+//! attribution.
 
 use std::cell::{Cell, OnceCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -45,7 +44,6 @@ use std::time::Instant;
 
 mod ring;
 pub mod span;
-pub mod watch;
 
 use ring::ThreadRing;
 

@@ -39,13 +39,11 @@
 
 pub mod counters;
 pub mod ctx;
-pub mod ewma;
 pub mod hist;
 pub mod phase;
 pub mod report;
 
 pub use counters::{CounterSnapshot, SyncCounters};
-pub use ewma::Ewma;
 pub use hist::{HistSnapshot, LogLinearHist};
 pub use phase::{Phase, PhaseSnapshot, PhaseTimes};
 pub use report::Table;

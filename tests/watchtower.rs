@@ -1,8 +1,9 @@
-//! Watchtower integration: span-stitcher soundness over every workload
-//! × automatic mode, synthetic-stream proptests, and the
-//! ring-overwrite loss-accounting regression.
+//! Span-stitcher soundness: every workload × automatic mode stitched
+//! from live flight-recorder drains, synthetic-stream proptests, and
+//! the ring-overwrite loss-accounting regression.
 //!
-//! The stitcher's contract has two halves:
+//! The stitcher (`telemetry::span`) rebuilds each wait's causal chain
+//! from the drained event stream. Its contract has two halves:
 //!
 //! * **Partition exactness** — a complete span's typed phase
 //!   attributions are a partition of its bracket: they are
@@ -17,11 +18,9 @@
 //! `measured_ns` total equals `stats.wait.nanos` exactly.
 
 use std::sync::Mutex;
-use std::time::Duration;
 
-use autosynch_repro::autosynch::config::MonitorConfig;
 use autosynch_repro::autosynch::telemetry::span::{stitch, StitchReport};
-use autosynch_repro::autosynch::{telemetry, EventKind, Monitor, TraceEvent};
+use autosynch_repro::autosynch::{telemetry, EventKind, TraceEvent};
 use autosynch_repro::problems::bounded_buffer::{self, BoundedBufferConfig};
 use autosynch_repro::problems::cigarette_smokers::{self, SmokersConfig};
 use autosynch_repro::problems::cyclic_barrier::{self, BarrierConfig};
@@ -304,27 +303,6 @@ fn overwritten_rings_truncate_and_orphan_never_fabricate() {
             "{label}: a severed registration must surface as a stub, open or orphan"
         );
     }
-}
-
-/// The watcher end to end off the public `Monitor` API: a sample lands
-/// in the history ring and the diagnostics bundle renders.
-#[test]
-fn diagnostics_render_from_the_monitor_api() {
-    let m = Monitor::with_config(0i64, MonitorConfig::default().timing(true));
-    for _ in 0..8 {
-        m.enter(|g| {
-            let _ = g.state();
-        });
-    }
-    let edges = m.observe_health_window(Duration::from_millis(5));
-    assert!(edges.is_empty(), "eight idle enters arm nothing");
-    assert_eq!(m.health_history().len(), 1);
-    let diag = m.diagnostics();
-    assert!(diag.active.is_empty());
-    let json = diag.to_json();
-    assert!(json.contains("\"signals\""));
-    assert!(json.contains("\"active\":[]"));
-    assert!(diag.to_string().contains("healthy"));
 }
 
 /// A structured single-wait stream builder for the proptests: one
